@@ -110,27 +110,6 @@ fn ladder_spec() -> RunSpec {
     }
 }
 
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 fn client(addr: SocketAddr) -> Client {
     Client::new(addr).read_timeout(Duration::from_secs(60))
 }
@@ -145,8 +124,8 @@ fn counter(addr: SocketAddr, key: &str) -> Result<u64, String> {
         return Err(format!("metrics {}: {}", r.status, r.body));
     }
     let doc = json::parse(&r.body).map_err(|e| format!("metrics not JSON ({e}): {}", r.body))?;
-    let counters = obj_get(&doc, "counters").unwrap_or(&doc);
-    Ok(get_u64(counters, key).unwrap_or(0))
+    let counters = doc.get("counters").unwrap_or(&doc);
+    Ok(counters.get(key).and_then(Json::as_u64).unwrap_or(0))
 }
 
 /// Polls a counter until `predicate` holds or `within` elapses; returns
@@ -179,7 +158,9 @@ fn submit(addr: SocketAddr, body: &str, what: &str) -> Result<u64, String> {
         ));
     }
     let doc = json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-    get_u64(&doc, "id").ok_or_else(|| format!("{what}: 202 body has no id"))
+    doc.get("id")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what}: 202 body has no id"))
 }
 
 /// Polls the fleet job until `predicate` holds on its status document.
@@ -201,7 +182,7 @@ fn await_status(
         if predicate(&doc) {
             return Ok(doc);
         }
-        if let Some("failed") = get_str(&doc, "state") {
+        if let Some("failed") = doc.get("state").and_then(Json::as_str) {
             return Err(format!("job failed while waiting for {what}: {}", r.body));
         }
         if Instant::now() > deadline {
@@ -214,10 +195,11 @@ fn await_status(
 /// Awaits a done job and checks its result renders exactly as `golden`.
 fn await_identical(addr: SocketAddr, id: u64, golden: &str, what: &str) -> Result<(), String> {
     let status = await_status(addr, id, &format!("{what} completion"), |doc| {
-        get_str(doc, "state") == Some("done")
+        doc.get("state").and_then(Json::as_str) == Some("done")
     })?;
-    let result =
-        obj_get(&status, "result").ok_or_else(|| format!("{what}: done without result"))?;
+    let result = status
+        .get("result")
+        .ok_or_else(|| format!("{what}: done without result"))?;
     if result.render() != golden {
         return Err(format!(
             "{what} diverged from the clean run\n  golden: {golden}\n  chaos:  {}",
@@ -327,7 +309,10 @@ fn crash_loop_phase(
         .expect("SHARDS > 0");
     for &id in &ids {
         await_status(addr, id, "single dispatch", |doc| {
-            matches!(get_str(doc, "state"), Some("running" | "done"))
+            matches!(
+                doc.get("state").and_then(Json::as_str),
+                Some("running" | "done")
+            )
         })?;
     }
 
@@ -403,7 +388,7 @@ fn ladder_phase(
         let shard = route(id, SHARDS);
         let shard_journal = journal_root.join(format!("shard{shard}"));
         await_status(addr, id, "ladder dispatch", |doc| {
-            get_str(doc, "state") == Some("running")
+            doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
         await_checkpoint_on_disk(&shard_journal)?;
 
@@ -496,9 +481,9 @@ fn run_gate() -> Result<(), String> {
         let sweep_body = JobSpec::Grid(grid.clone()).to_json().render();
         let sweep = submit(addr, &sweep_body, "sweep")?;
         let status = await_status(addr, sweep, "sweep completion", |doc| {
-            get_str(doc, "state") == Some("done")
+            doc.get("state").and_then(Json::as_str) == Some("done")
         })?;
-        let result = obj_get(&status, "result").ok_or("done sweep has no result")?;
+        let result = status.get("result").ok_or("done sweep has no result")?;
         if result.render() != grid_golden {
             return Err(format!(
                 "chaos sweep diverged from the clean run\n  golden: {grid_golden}\n  chaos:  {}",

@@ -58,27 +58,6 @@ fn gate_grid() -> GridSpec {
     }
 }
 
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 fn client(addr: SocketAddr) -> Client {
     Client::new(addr).read_timeout(Duration::from_secs(60))
 }
@@ -102,7 +81,7 @@ fn await_status(
         if predicate(&doc) {
             return Ok(doc);
         }
-        if let Some("failed") = get_str(&doc, "state") {
+        if let Some("failed") = doc.get("state").and_then(Json::as_str) {
             return Err(format!("job failed while waiting for {what}: {}", r.body));
         }
         if Instant::now() > deadline {
@@ -120,13 +99,13 @@ fn check_stream(lines: &[String], id: u64) -> Result<(), String> {
     let mut end_state = None;
     for line in lines {
         let doc = json::parse(line).map_err(|e| format!("bad event ({e}): {line}"))?;
-        match get_str(&doc, "event") {
+        match doc.get("event").and_then(Json::as_str) {
             Some("progress") => {
                 saw_progress = true;
-                if get_u64(&doc, "id") != Some(id) {
+                if doc.get("id").and_then(Json::as_u64) != Some(id) {
                     return Err(format!("progress for the wrong job: {line}"));
                 }
-                let done = get_u64(&doc, "cells_done").unwrap_or(0);
+                let done = doc.get("cells_done").and_then(Json::as_u64).unwrap_or(0);
                 if done < last_cells_done {
                     return Err(format!(
                         "cells_done went backwards ({last_cells_done} -> {done}): {line}"
@@ -134,7 +113,7 @@ fn check_stream(lines: &[String], id: u64) -> Result<(), String> {
                 }
                 last_cells_done = done;
             }
-            Some("end") => end_state = get_str(&doc, "state").map(str::to_owned),
+            Some("end") => end_state = doc.get("state").and_then(Json::as_str).map(str::to_owned),
             Some("alive") => {}
             _ => return Err(format!("unknown event: {line}")),
         }
@@ -192,8 +171,11 @@ fn run_gate() -> Result<(), String> {
         }
         let accepted_doc =
             json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-        let id = get_u64(&accepted_doc, "id").ok_or("202 body has no id")?;
-        if get_u64(&accepted_doc, "cells") != Some(cells as u64) {
+        let id = accepted_doc
+            .get("id")
+            .and_then(Json::as_u64)
+            .ok_or("202 body has no id")?;
+        if accepted_doc.get("cells").and_then(Json::as_u64) != Some(cells as u64) {
             return Err(format!("expected {cells} cells: {}", accepted.body));
         }
 
@@ -210,8 +192,10 @@ fn run_gate() -> Result<(), String> {
         // Kill shard 1 once the sweep is demonstrably mid-flight: some
         // cells done, some not, job still running.
         await_status(addr, id, "the mid-sweep kill window", |doc| {
-            get_u64(doc, "cells_done").is_some_and(|d| d >= 1 && d < cells as u64)
-                && get_str(doc, "state") == Some("running")
+            doc.get("cells_done")
+                .and_then(Json::as_u64)
+                .is_some_and(|d| d >= 1 && d < cells as u64)
+                && doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
         controller
             .kill_shard(1)
@@ -220,9 +204,9 @@ fn run_gate() -> Result<(), String> {
 
         // The supervisor must restart it and the sweep must finish.
         let status = await_status(addr, id, "completion", |doc| {
-            get_str(doc, "state") == Some("done")
+            doc.get("state").and_then(Json::as_str) == Some("done")
         })?;
-        let result = obj_get(&status, "result").ok_or("done job has no result")?;
+        let result = status.get("result").ok_or("done job has no result")?;
         if result.render() != golden {
             return Err(format!(
                 "fleet sweep diverged from the single-process run\n  golden: {golden}\n  fleet:  {}",

@@ -69,27 +69,6 @@ fn gate_grid() -> GridSpec {
     }
 }
 
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 fn client(addr: SocketAddr) -> Client {
     Client::new(addr).read_timeout(Duration::from_secs(120))
 }
@@ -113,7 +92,7 @@ fn await_status(
         if predicate(&doc) {
             return Ok(doc);
         }
-        if let Some("failed") = get_str(&doc, "state") {
+        if let Some("failed") = doc.get("state").and_then(Json::as_str) {
             return Err(format!("job failed while waiting for {what}: {}", r.body));
         }
         if Instant::now() > deadline {
@@ -136,9 +115,15 @@ fn run_single(addr: SocketAddr, what: &str) -> Result<Json, String> {
         ));
     }
     let doc = json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-    let id = get_u64(&doc, "id").ok_or("202 body has no id")?;
-    let status = await_status(addr, id, what, |doc| get_str(doc, "state") == Some("done"))?;
-    obj_get(&status, "result")
+    let id = doc
+        .get("id")
+        .and_then(Json::as_u64)
+        .ok_or("202 body has no id")?;
+    let status = await_status(addr, id, what, |doc| {
+        doc.get("state").and_then(Json::as_str) == Some("done")
+    })?;
+    status
+        .get("result")
         .cloned()
         .ok_or_else(|| format!("{what}: done job has no result"))
 }
@@ -155,7 +140,9 @@ fn submit_single(addr: SocketAddr, spec: &str, what: &str) -> Result<u64, String
         ));
     }
     let doc = json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-    get_u64(&doc, "id").ok_or_else(|| format!("{what}: 202 body has no id"))
+    doc.get("id")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what}: 202 body has no id"))
 }
 
 /// Reads one counter out of `/v1/metrics` (0 when it has not fired yet).
@@ -167,8 +154,8 @@ fn counter(addr: SocketAddr, key: &str) -> Result<u64, String> {
         return Err(format!("metrics {}: {}", r.status, r.body));
     }
     let doc = json::parse(&r.body).map_err(|e| format!("metrics not JSON ({e}): {}", r.body))?;
-    let counters = obj_get(&doc, "counters").unwrap_or(&doc);
-    Ok(get_u64(counters, key).unwrap_or(0))
+    let counters = doc.get("counters").unwrap_or(&doc);
+    Ok(counters.get(key).and_then(Json::as_u64).unwrap_or(0))
 }
 
 /// The `GET /v1/admin/config` document.
@@ -184,7 +171,9 @@ fn admin_config(addr: SocketAddr) -> Result<Json, String> {
 
 fn active_generation(addr: SocketAddr) -> Result<u64, String> {
     let doc = admin_config(addr)?;
-    get_u64(&doc, "active_generation").ok_or_else(|| format!("no active_generation: {doc:?}"))
+    doc.get("active_generation")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("no active_generation: {doc:?}"))
 }
 
 fn run_gate() -> Result<(), String> {
@@ -239,10 +228,15 @@ fn run_gate() -> Result<(), String> {
         }
         let accepted_doc =
             json::parse(&accepted.body).map_err(|e| format!("202 body not JSON: {e}"))?;
-        let id = get_u64(&accepted_doc, "id").ok_or("202 body has no id")?;
+        let id = accepted_doc
+            .get("id")
+            .and_then(Json::as_u64)
+            .ok_or("202 body has no id")?;
         await_status(addr, id, "the mid-sweep rollout window", |doc| {
-            get_u64(doc, "cells_done").is_some_and(|d| d >= 1 && d < cells as u64)
-                && get_str(doc, "state") == Some("running")
+            doc.get("cells_done")
+                .and_then(Json::as_u64)
+                .is_some_and(|d| d >= 1 && d < cells as u64)
+                && doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
 
         // Stage a degraded-but-valid policy: a 1 ms job deadline passes
@@ -270,23 +264,23 @@ fn run_gate() -> Result<(), String> {
         }
         println!("degraded commit auto-rolled back: {}", r.body);
         let config = admin_config(addr)?;
-        if get_u64(&config, "active_generation") != Some(0) {
+        if config.get("active_generation").and_then(Json::as_u64) != Some(0) {
             return Err(format!("rollback left the wrong generation: {config:?}"));
         }
-        let failed_slot = obj_get(&config, "last_failed").ok_or("no last_failed record")?;
-        if get_u64(failed_slot, "generation") != Some(1) {
+        let failed_slot = config.get("last_failed").ok_or("no last_failed record")?;
+        if failed_slot.get("generation").and_then(Json::as_u64) != Some(1) {
             return Err(format!("last_failed should name generation 1: {config:?}"));
         }
-        if get_u64(&config, "rollbacks") != Some(1) {
+        if config.get("rollbacks").and_then(Json::as_u64) != Some(1) {
             return Err(format!("expected exactly one rollback: {config:?}"));
         }
 
         // The sweep must finish with zero lost jobs and a byte-identical
         // gathered document.
         let status = await_status(addr, id, "completion", |doc| {
-            get_str(doc, "state") == Some("done")
+            doc.get("state").and_then(Json::as_str) == Some("done")
         })?;
-        let result = obj_get(&status, "result").ok_or("done job has no result")?;
+        let result = status.get("result").ok_or("done job has no result")?;
         if result.render() != golden {
             return Err(format!(
                 "sweep diverged after the failed rollout\n  golden: {golden}\n  fleet:  {}",
@@ -327,14 +321,18 @@ fn run_gate() -> Result<(), String> {
         // While the candidate sits staged, the admin surface must show
         // the per-knob diff an operator would be committing.
         let config = admin_config(addr)?;
-        let diff = obj_get(&config, "staged_diff").ok_or("benign stage produced no staged_diff")?;
-        if get_u64(diff, "from_generation") != Some(0) || get_u64(diff, "to_generation") != Some(2)
+        let diff = config
+            .get("staged_diff")
+            .ok_or("benign stage produced no staged_diff")?;
+        if diff.get("from_generation").and_then(Json::as_u64) != Some(0)
+            || diff.get("to_generation").and_then(Json::as_u64) != Some(2)
         {
             return Err(format!(
                 "staged_diff names the wrong generations: {config:?}"
             ));
         }
-        let changes = obj_get(diff, "changes")
+        let changes = diff
+            .get("changes")
             .ok_or("staged_diff has no changes")?
             .render();
         if !changes.contains(r#""scrub_interval":{"from":"default","to":"100000"}"#) {
@@ -351,7 +349,7 @@ fn run_gate() -> Result<(), String> {
         }
         println!("benign config committed across the fleet (generation 2)");
         let result = run_single(addr, "post-commit run")?;
-        if get_u64(&result, "config_generation") != Some(2) {
+        if result.get("config_generation").and_then(Json::as_u64) != Some(2) {
             return Err(format!(
                 "post-commit result not stamped with generation 2: {}",
                 result.render()
@@ -378,7 +376,7 @@ fn run_gate() -> Result<(), String> {
             return Err("rollback should restore generation 0".to_owned());
         }
         let result = run_single(addr, "post-rollback run")?;
-        if obj_get(&result, "config_generation").is_some() {
+        if result.get("config_generation").is_some() {
             return Err(format!(
                 "baseline results must not carry a stamp: {}",
                 result.render()
@@ -423,11 +421,11 @@ fn run_gate() -> Result<(), String> {
         let failed_before = counter(addr, "fleet.jobs.failed")?;
         let mid_roll = submit_single(addr, MID_ROLL, "mid-roll run")?;
         await_status(addr, mid_roll, "mid-roll dispatch", |doc| {
-            get_str(doc, "state") == Some("running")
+            doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
         let doomed = submit_single(addr, UNBOUNDED, "unbounded run")?;
         await_status(addr, doomed, "unbounded dispatch", |doc| {
-            get_str(doc, "state") == Some("running")
+            doc.get("state").and_then(Json::as_str) == Some("running")
         })?;
         let r = client(addr)
             .request(
@@ -453,7 +451,7 @@ fn run_gate() -> Result<(), String> {
             return Err("failed mid-roll commit should leave generation 3 active".to_owned());
         }
         let status = await_status(addr, doomed, "deadline kill", |doc| {
-            get_str(doc, "state") == Some("failed")
+            doc.get("state").and_then(Json::as_str) == Some("failed")
         })?;
         println!("unbounded run killed by the deadline: {}", status.render());
         let failed_after = counter(addr, "fleet.jobs.failed")?;
@@ -481,10 +479,10 @@ fn run_gate() -> Result<(), String> {
         // generation and settle byte-identical to a clean run of the same
         // spec.
         let status = await_status(addr, mid_roll, "requeued completion", |doc| {
-            get_str(doc, "state") == Some("done")
+            doc.get("state").and_then(Json::as_str) == Some("done")
         })?;
-        let result = obj_get(&status, "result").ok_or("requeued job has no result")?;
-        if get_u64(result, "config_generation") != Some(3) {
+        let result = status.get("result").ok_or("requeued job has no result")?;
+        if result.get("config_generation").and_then(Json::as_u64) != Some(3) {
             return Err(format!(
                 "requeued result not stamped with the restored generation: {}",
                 result.render()
@@ -492,9 +490,9 @@ fn run_gate() -> Result<(), String> {
         }
         let fresh = submit_single(addr, MID_ROLL, "reference run")?;
         let fresh = await_status(addr, fresh, "reference completion", |doc| {
-            get_str(doc, "state") == Some("done")
+            doc.get("state").and_then(Json::as_str) == Some("done")
         })?;
-        let fresh = obj_get(&fresh, "result").ok_or("reference job has no result")?;
+        let fresh = fresh.get("result").ok_or("reference job has no result")?;
         if result.render() != fresh.render() {
             return Err(format!(
                 "quarantined re-run diverged from a clean run\n  clean: {}\n  requeued: {}",

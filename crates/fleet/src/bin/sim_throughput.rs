@@ -8,12 +8,15 @@
 //! telemetry overhead, and a per-phase breakdown extracted from the
 //! `ctrl.span.*` / `sim.span.*` summaries of the unified registry — plus a
 //! `fleet_submit` figure: end-to-end jobs/sec for trivial specs pushed
-//! through a live coordinator over real shard processes.
+//! through a live coordinator over real shard processes, and the
+//! single-job p50/p99 latency of sequential trivial jobs through that
+//! fleet beside the same jobs sent straight to one `baryon-serve` process.
 //!
 //! The process exits non-zero when the aggregate telemetry-on overhead
-//! exceeds the budget (default 5%) **or** any workload's telemetry-off
-//! throughput falls below its per-workload regression floor, so CI gates
-//! on both:
+//! exceeds the budget (default 5%), when any workload's telemetry-off
+//! throughput falls below its per-workload regression floor, **or** when
+//! the fleet's single-job p50 exceeds twice the direct-serve p50, so CI
+//! gates on all three:
 //!
 //! ```text
 //! cargo run --release -p baryon-fleet --bin sim_throughput
@@ -24,9 +27,11 @@
 //! Wall-clock times are the minimum over `BARYON_BENCH_REPEATS` runs
 //! (default 3): the minimum is the standard noise-robust estimator for
 //! "how fast can this go", which is what an overhead gate needs. The
-//! `fleet_submit` figure is informational (no floor): it measures control
-//! plane plus scheduling latency across process boundaries, which varies
-//! with host load far more than the in-process simulator does.
+//! `fleet_submit` jobs/s figure is informational (no floor): it measures
+//! control plane plus scheduling latency across process boundaries, which
+//! varies with host load far more than the in-process simulator does. Its
+//! latency gate is a ratio of two interleaved measurements on the same
+//! host, so load moves both sides alike.
 
 use baryon_bench::spec::RunSpec;
 use baryon_core::checkpoint::atomic_write;
@@ -35,6 +40,7 @@ use baryon_fleet::coordinator::{Fleet, FleetConfig};
 use baryon_fleet::harness;
 use baryon_serve::client::Client;
 use baryon_sim::json::{self, Json};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -62,6 +68,12 @@ const WARMUP: u64 = 40_000;
 /// Fleet submit figure: how many trivial jobs, over how many shards.
 const FLEET_JOBS: usize = 32;
 const FLEET_SHARDS: usize = 2;
+/// Sequential trivial jobs timed per target (fleet and direct serve,
+/// interleaved) for the single-job latency percentiles.
+const LATENCY_JOBS: usize = 24;
+/// The latency gate: fleet single-job p50 within this multiple of the
+/// direct-serve p50.
+const MAX_FLEET_OVER_SERVE: f64 = 2.0;
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -214,38 +226,59 @@ fn run_timed_checkpointed(
     ))
 }
 
-fn fleet_get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-            if let Json::U64(n) = v {
-                Some(*n)
-            } else {
-                None
+/// Submits `spec`, returning the accepted job's ID. Works against a
+/// coordinator and a plain serve process alike.
+fn submit(client: &Client, spec: &str) -> Result<u64, String> {
+    let r = client
+        .request("POST", "/v1/jobs", Some(spec))
+        .map_err(|e| format!("submit: {e}"))?;
+    if r.status != 202 {
+        return Err(format!("submit {}: {}", r.status, r.body));
+    }
+    let doc = json::parse(&r.body).map_err(|e| format!("202 body: {e}"))?;
+    doc.get("id")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| "202 body has no id".to_owned())
+}
+
+/// Blocks on job `id`'s event stream until its `end` line, which must
+/// report `done` — completion is pushed, never polled.
+fn await_end(client: &Client, id: u64) -> Result<(), String> {
+    let mut end_state = None;
+    client
+        .stream(&format!("/v1/jobs/{id}/events"), &mut |line| {
+            let Ok(doc) = json::parse(line) else {
+                return;
+            };
+            if doc.get("event").and_then(Json::as_str) == Some("end") {
+                end_state = doc.get("state").and_then(Json::as_str).map(str::to_owned);
             }
-        }),
-        _ => None,
+        })
+        .map_err(|e| format!("job {id} event stream: {e}"))?;
+    match end_state.as_deref() {
+        Some("done") => Ok(()),
+        other => Err(format!("job {id} ended as {other:?}")),
     }
 }
 
-fn fleet_get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).and_then(|(_, v)| {
-            if let Json::Str(s) = v {
-                Some(s.as_str())
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
+/// Nearest-rank `(p50, p99)` in milliseconds of latencies in microseconds.
+fn p50_p99_ms(mut us: Vec<f64>) -> (f64, f64) {
+    us.sort_by(f64::total_cmp);
+    let at = |p: f64| us[((p * us.len() as f64).ceil() as usize).clamp(1, us.len()) - 1] / 1e3;
+    (at(0.50), at(0.99))
 }
 
-/// The `fleet_submit` figure: wall-clock jobs/sec for trivial single-run
-/// specs pushed end to end through a live coordinator — submit, QoS
-/// admission, hash-routing, dispatch over HTTP to a real shard process,
-/// execution, poll-back, settle. Measures the control plane, not the
-/// simulator.
-fn fleet_submit_figure() -> Result<Json, String> {
+/// The `fleet_submit` figure, measuring the control plane rather than the
+/// simulator with trivial single-run specs:
+/// - jobs/s: a burst of [`FLEET_JOBS`] submitted back to back through a
+///   live coordinator over real shard processes (admission, hash-routing,
+///   dispatch, execution, completion push, settle), each awaited on its
+///   event stream;
+/// - latency: [`LATENCY_JOBS`] sequential jobs through the fleet,
+///   interleaved one for one with the same job sent to a standalone
+///   journaled `baryon-serve` process (this binary in shard mode), with
+///   the pass flag for the fleet-p50-within-2×-serve gate.
+fn fleet_submit_figure() -> Result<(Json, bool), String> {
     let journal_root = std::env::temp_dir().join(format!(
         "baryon-sim-throughput-fleet-{}",
         std::process::id()
@@ -253,6 +286,11 @@ fn fleet_submit_figure() -> Result<Json, String> {
     let _ = std::fs::remove_dir_all(&journal_root);
     let launcher = harness::self_launcher(2, FLEET_JOBS.max(16))
         .map_err(|e| format!("fleet launcher: {e}"))?;
+    let serve_dir = journal_root.join("direct-serve");
+    std::fs::create_dir_all(&serve_dir).map_err(|e| format!("serve journal: {e}"))?;
+    let (mut serve_child, serve_addr): (_, SocketAddr) = launcher
+        .spawn(&serve_dir, None)
+        .map_err(|e| format!("direct serve spawn: {e}"))?;
     let fleet = Fleet::bind(
         FleetConfig {
             port: 0,
@@ -271,6 +309,7 @@ fn fleet_submit_figure() -> Result<Json, String> {
     let addr = fleet.local_addr();
     let serving = std::thread::spawn(move || fleet.run());
     let client = Client::new(addr).read_timeout(Duration::from_secs(30));
+    let serve_client = Client::new(serve_addr).read_timeout(Duration::from_secs(30));
 
     // Trivial spec: the cheapest meaningful run, so wall time is
     // dominated by coordination rather than simulation.
@@ -288,57 +327,59 @@ fn fleet_submit_figure() -> Result<Json, String> {
     .to_json()
     .render();
 
-    let outcome = (|| -> Result<f64, String> {
+    let outcome = (|| -> Result<(f64, Vec<f64>, Vec<f64>), String> {
         let t = Instant::now();
-        let mut ids = Vec::with_capacity(FLEET_JOBS);
-        for _ in 0..FLEET_JOBS {
-            let r = client
-                .request("POST", "/v1/jobs", Some(&trivial))
-                .map_err(|e| format!("fleet submit: {e}"))?;
-            if r.status != 202 {
-                return Err(format!("fleet submit {}: {}", r.status, r.body));
-            }
-            let doc = json::parse(&r.body).map_err(|e| format!("202 body: {e}"))?;
-            ids.push(fleet_get_u64(&doc, "id").ok_or("202 body has no id")?);
-        }
-        let deadline = Instant::now() + Duration::from_secs(120);
+        let ids = (0..FLEET_JOBS)
+            .map(|_| submit(&client, &trivial))
+            .collect::<Result<Vec<_>, _>>()?;
         for id in ids {
-            loop {
-                let r = client
-                    .request("GET", &format!("/v1/jobs/{id}"), None)
-                    .map_err(|e| format!("fleet poll: {e}"))?;
-                let doc = json::parse(&r.body).map_err(|e| format!("status body: {e}"))?;
-                match fleet_get_str(&doc, "state") {
-                    Some("done") => break,
-                    Some("failed") => return Err(format!("fleet job {id} failed: {}", r.body)),
-                    _ => {}
-                }
-                if Instant::now() > deadline {
-                    return Err(format!("fleet job {id} did not finish: {}", r.body));
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            await_end(&client, id)?;
+        }
+        let burst_us = t.elapsed().as_secs_f64() * 1e6;
+        let (mut fleet_us, mut serve_us) = (Vec::new(), Vec::new());
+        for _ in 0..LATENCY_JOBS {
+            for (target, samples) in [(&client, &mut fleet_us), (&serve_client, &mut serve_us)] {
+                let t = Instant::now();
+                await_end(target, submit(target, &trivial)?)?;
+                samples.push(t.elapsed().as_secs_f64() * 1e6);
             }
         }
-        Ok(t.elapsed().as_secs_f64() * 1e6)
+        Ok((burst_us, fleet_us, serve_us))
     })();
 
     let _ = client.request("POST", "/v1/shutdown", None);
+    let _ = serve_client.request("POST", "/v1/shutdown", None);
+    let _ = serve_child.wait();
     serving
         .join()
         .map_err(|_| "fleet serving thread panicked".to_owned())?
         .map_err(|e| format!("fleet run: {e}"))?;
     let _ = std::fs::remove_dir_all(&journal_root);
-    let wall_us = outcome?;
+    let (wall_us, fleet_us, serve_us) = outcome?;
     let jobs_per_sec = FLEET_JOBS as f64 / (wall_us / 1e6);
+    let (fleet_p50, fleet_p99) = p50_p99_ms(fleet_us);
+    let (serve_p50, serve_p99) = p50_p99_ms(serve_us);
+    let pass = fleet_p50 <= MAX_FLEET_OVER_SERVE * serve_p50;
     println!(
-        "fleet_submit  {FLEET_JOBS} trivial jobs over {FLEET_SHARDS} shards: {jobs_per_sec:.1} jobs/s"
+        "fleet_submit  {FLEET_JOBS} trivial jobs over {FLEET_SHARDS} shards: {jobs_per_sec:.1} jobs/s; \
+         single job p50/p99 fleet {fleet_p50:.2}/{fleet_p99:.2} ms, serve {serve_p50:.2}/{serve_p99:.2} ms \
+         [{}]",
+        if pass { "ok" } else { "FAIL" },
     );
-    Ok(Json::obj([
+    let doc = Json::obj([
         ("shards", Json::from(FLEET_SHARDS as u64)),
         ("jobs", Json::from(FLEET_JOBS as u64)),
         ("wall_us", Json::from(wall_us)),
         ("jobs_per_sec", Json::from(jobs_per_sec)),
-    ]))
+        ("latency_jobs", Json::from(LATENCY_JOBS as u64)),
+        ("fleet_p50_ms", Json::from(fleet_p50)),
+        ("fleet_p99_ms", Json::from(fleet_p99)),
+        ("serve_p50_ms", Json::from(serve_p50)),
+        ("serve_p99_ms", Json::from(serve_p99)),
+        ("max_fleet_over_serve", Json::from(MAX_FLEET_OVER_SERVE)),
+        ("latency_pass", Json::Bool(pass)),
+    ]);
+    Ok((doc, pass))
 }
 
 fn out_path() -> PathBuf {
@@ -482,8 +523,8 @@ fn main() -> ExitCode {
 
     // Control-plane throughput: trivial jobs through a live coordinator
     // over real shard processes.
-    let fleet_doc = match fleet_submit_figure() {
-        Ok(doc) => doc,
+    let (fleet_doc, fleet_latency_pass) = match fleet_submit_figure() {
+        Ok(figure) => figure,
         Err(e) => {
             eprintln!("sim_throughput: fleet_submit: {e}");
             return ExitCode::FAILURE;
@@ -491,7 +532,7 @@ fn main() -> ExitCode {
     };
 
     let aggregate_pct = overhead_pct(total_off_us, total_on_us);
-    let pass = aggregate_pct <= budget_pct && floor_failures.is_empty();
+    let pass = aggregate_pct <= budget_pct && floor_failures.is_empty() && fleet_latency_pass;
     let doc = Json::obj([
         ("bench", Json::from("sim_throughput")),
         ("controller", Json::from("baryon")),
@@ -530,6 +571,12 @@ fn main() -> ExitCode {
     }
     for f in &floor_failures {
         eprintln!("sim_throughput: regression: {f}");
+        failed = true;
+    }
+    if !fleet_latency_pass {
+        eprintln!(
+            "sim_throughput: fleet single-job p50 exceeds {MAX_FLEET_OVER_SERVE}x the direct-serve p50"
+        );
         failed = true;
     }
     if failed {

@@ -2,17 +2,23 @@
 //!
 //! The coordinator owns no simulation code. It admits jobs (per-client
 //! quotas, two-level QoS queue), hash-routes single runs onto shards,
-//! scatters grid sweeps cell-by-cell across every shard, polls shard-local
-//! jobs to completion, gathers batch results deterministically, proxies
-//! event streams, and merges every shard's full-fidelity wire metrics into
-//! one fleet-wide registry under `shard<i>.` namespaces.
+//! scatters grid sweeps cell-by-cell across every shard, gathers batch
+//! results deterministically, serves event streams from its own progress
+//! board, and merges every shard's full-fidelity wire metrics into one
+//! fleet-wide registry under `shard<i>.` namespaces.
+//!
+//! Completion is pushed, not polled: every dispatched cell gets one
+//! watcher thread that follows the executing shard's
+//! `GET /v1/jobs/<remote>/events` stream until its `end` line (relaying a
+//! single run's progress onto the coordinator's board), then makes one
+//! CRC-verified `GET /v1/jobs/<remote>` and lands the cell.
 //!
 //! Supervision is the shard set's ([`crate::shard::ShardSet`]): a killed
 //! or wedged shard is restarted on its own journal directory, replays its
 //! write-ahead journal, and resumes interrupted runs from checkpoints —
-//! the coordinator's pollers just keep polling the same shard-local job
-//! IDs at the new address, so a mid-sweep `SIGKILL` costs latency, never
-//! results.
+//! a watcher whose stream broke just reconnects to the same shard-local
+//! job ID at the new address, so a mid-sweep `SIGKILL` costs latency,
+//! never results.
 
 use crate::config::{CommitError, RollbackError, Slot, SlotMachine, StageError};
 use crate::quota::{Class, ClientQuotas, QosQueue, QueueError};
@@ -25,9 +31,9 @@ use baryon_core::checkpoint::atomic_write;
 use baryon_core::policy::FleetPolicy;
 use baryon_serve::client::{Client, ClientError, ClientResponse};
 use baryon_serve::error::ErrorCode;
-use baryon_serve::http::{read_request, ChunkedWriter, Request, Response, CRC_HEADER};
+use baryon_serve::http::{read_request, Request, Response, CRC_HEADER};
 use baryon_serve::job::{CancelOutcome, JobState};
-use baryon_serve::progress::ProgressBoard;
+use baryon_serve::progress::{JobProgress, ProgressBoard};
 use baryon_sim::json::{self, Json};
 use baryon_sim::telemetry::Registry;
 use baryon_sim::wire;
@@ -92,6 +98,11 @@ struct FleetMetrics {
     /// Results computed under a config generation whose roll failed —
     /// withheld from gathers and re-dispatched under the restored config.
     quarantined_results: AtomicU64,
+    /// Cells moved off `Dispatched` by a settled shard-side record.
+    landed: AtomicU64,
+    /// `GET /v1/jobs/<remote>` status fetches sent to shards. Fault-free,
+    /// exactly one per landed cell.
+    status_fetches: AtomicU64,
 }
 
 /// A shard reply the coordinator refused to act on.
@@ -124,18 +135,37 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 /// One unit of dispatch: a whole single run (`cell == None`) or one batch
-/// cell.
+/// cell, with the class it queues under and the shard it is routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WorkItem {
     fleet_id: u64,
     cell: Option<usize>,
+    class: Class,
+    shard: usize,
 }
 
-/// State shared by the accept loop, handlers, dispatchers, the poller,
-/// and the supervisor.
+impl WorkItem {
+    /// The work item for `job`'s cell `cell` (a [`FleetJob::cell_mut`]
+    /// index), routed where the job's plan puts it.
+    fn of(job: &FleetJob, cell: Option<usize>) -> WorkItem {
+        let shard = match &job.kind {
+            FleetJobKind::Single { shard, .. } => *shard,
+            FleetJobKind::Batch { plan, .. } => plan.cells[cell.unwrap_or_default()].shard,
+        };
+        WorkItem {
+            fleet_id: job.id,
+            cell,
+            class: job.class,
+            shard,
+        }
+    }
+}
+
+/// State shared by the accept loop, handlers, dispatchers, completion
+/// watchers, and the supervisor.
 struct FleetShared {
     board: JobBoard,
-    queue: QosQueue<(Class, WorkItem)>,
+    queue: QosQueue<WorkItem>,
     quotas: ClientQuotas,
     shards: ShardSet,
     progress: ProgressBoard,
@@ -151,7 +181,7 @@ struct FleetShared {
     /// rolling restart so at most one engine runs.
     rollout: Mutex<()>,
     /// The config generation a commit is currently rolling toward (0 =
-    /// no roll in flight). While nonzero, the poller stages finished
+    /// no roll in flight). While nonzero, [`land_cell`] stages finished
     /// results instead of settling them — a gather must never mix cells
     /// computed under a generation that may yet be rolled back.
     rolling_to: AtomicU64,
@@ -199,7 +229,7 @@ impl FleetShared {
     /// the shard computed it — the reply is discarded (typed
     /// [`ShardError::Corrupt`], counted in `fleet.shard.reply_errors`)
     /// rather than trusted, and callers treat it like any transient
-    /// shard failure: retry, requeue, or poll again next tick.
+    /// shard failure: retry, requeue, or fetch again after a backoff.
     fn verify_reply(&self, response: ClientResponse) -> Result<ClientResponse, ShardError> {
         let Some(claimed) = response.header(CRC_HEADER).map(str::to_owned) else {
             return Ok(response); // no frame (e.g. a pre-CRC shard) — accept
@@ -246,6 +276,11 @@ impl FleetController {
         self.shared.addr
     }
 
+    /// Shard `index`'s current address (changes across restarts).
+    pub fn shard_addr(&self, index: usize) -> SocketAddr {
+        self.shared.shards.addr(index)
+    }
+
     /// Pauses dispatch and supervision for a shard (test hook — the
     /// rollout engine pauses shards itself during commit/rollback).
     pub fn pause_shard(&self, index: usize) {
@@ -289,23 +324,29 @@ impl FleetController {
     }
 }
 
-/// A bound, running fleet (shards spawned, dispatchers/poller/supervisor
+/// A bound, running fleet (shards spawned, dispatcher and supervisor
 /// threads live; call [`Fleet::run`] to serve connections).
 pub struct Fleet {
     listener: TcpListener,
     shared: Arc<FleetShared>,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
-    background: Vec<std::thread::JoinHandle<()>>,
+    supervisor: std::thread::JoinHandle<()>,
 }
 
 /// Supervisor cadence: how often shards are probed and the dead restarted.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(500);
-/// Poller cadence: how often dispatched shard-local jobs are polled.
-const POLL_EVERY: Duration = Duration::from_millis(100);
+/// How long a dispatcher backs off after putting back an item its shard
+/// refused or could not be reached for, and how often queued items held
+/// for a paused or quarantined shard are re-checked.
+const DISPATCH_BACKOFF: Duration = Duration::from_millis(100);
+/// A completion watcher's reconnect backoff after a transport error (a
+/// shard restarting): doubles from the floor up to the cap.
+const WATCH_BACKOFF_FLOOR: Duration = Duration::from_millis(20);
+const WATCH_BACKOFF_CAP: Duration = Duration::from_millis(500);
 
 impl Fleet {
     /// Spawns the shard processes, binds `127.0.0.1:<port>`, and starts
-    /// the dispatcher, poller, and supervisor threads.
+    /// the supervisor and `max(shards, 2)` dispatcher threads.
     ///
     /// # Errors
     ///
@@ -353,28 +394,17 @@ impl Fleet {
                     .spawn(move || dispatcher_loop(&shared))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let mut background = Vec::new();
-        {
+        let supervisor = {
             let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("baryon-fleet-poller".to_owned())
-                    .spawn(move || poller_loop(&shared))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            background.push(
-                std::thread::Builder::new()
-                    .name("baryon-fleet-supervisor".to_owned())
-                    .spawn(move || supervisor_loop(&shared))?,
-            );
-        }
+            std::thread::Builder::new()
+                .name("baryon-fleet-supervisor".to_owned())
+                .spawn(move || supervisor_loop(&shared))?
+        };
         Ok(Fleet {
             listener,
             shared,
             dispatchers,
-            background,
+            supervisor,
         })
     }
 
@@ -392,7 +422,8 @@ impl Fleet {
     }
 
     /// Serves until `POST /v1/shutdown`, then drains dispatchers, stops
-    /// the background threads, and shuts the shards down.
+    /// the supervisor, and shuts the shards down (completion watchers see
+    /// the shutdown and exit on their own).
     ///
     /// # Errors
     ///
@@ -411,67 +442,55 @@ impl Fleet {
         for dispatcher in self.dispatchers {
             let _ = dispatcher.join();
         }
-        for thread in self.background {
-            let _ = thread.join();
-        }
+        let _ = self.supervisor.join();
         self.shared.shards.shutdown();
         Ok(())
     }
 }
 
 fn dispatcher_loop(shared: &Arc<FleetShared>) {
-    while let Some((class, item)) = shared.queue.pop() {
+    // Items whose shard is paused (a rollout drains it) or out of rotation
+    // stay queued in place instead of cycling through the dispatchers, so
+    // they never hold up ready work or lose their priority.
+    let ready = |item: &WorkItem| available_shard(shared, item.shard).is_some();
+    while let Some(item) = shared.queue.pop(ready, DISPATCH_BACKOFF) {
         if shared.shutdown.load(Ordering::SeqCst) {
             continue; // drain without dispatching
         }
-        dispatch(shared, class, item);
+        if !dispatch(shared, item) {
+            // Put back (already requeued); back off so a shard that is
+            // down or refusing is not hammered.
+            shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(DISPATCH_BACKOFF);
+        }
     }
 }
 
-/// Dispatches one work item: POSTs the cell's spec to its shard and
-/// records the shard-local job ID. A refused or unreachable shard puts the
-/// item back on the queue (the supervisor is restarting the shard
-/// meanwhile); an item that cannot be requeued fails its cell.
-fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
-    let Some(job) = shared.board.get(item.fleet_id) else {
-        return; // forgotten (admission rolled back)
+/// Dispatches one work item: POSTs the cell's spec to its shard, records
+/// the shard-local job ID, and starts the cell's completion watcher. A
+/// refused or unreachable shard puts the item straight back on the queue
+/// (the supervisor is restarting the shard meanwhile) and returns false;
+/// an item that cannot be requeued fails its cell.
+fn dispatch(shared: &Arc<FleetShared>, item: WorkItem) -> bool {
+    let Some(mut job) = shared.board.get(item.fleet_id) else {
+        return true; // forgotten (admission rolled back)
     };
-    if job.state.is_settled() {
-        return; // cancelled while queued
+    if job.state.is_settled() || !matches!(job.cell_mut(item.cell), Some(CellState::Pending)) {
+        return true; // cancelled while queued, or a duplicate item
     }
-    let (shard, spec_body) = match (&job.kind, item.cell) {
-        (FleetJobKind::Single { shard, cell }, None) => {
-            if !matches!(cell, CellState::Pending) {
-                return; // duplicate item; already dispatched
-            }
-            (*shard, job.spec.to_json().render())
+    let spec_body = match &job.kind {
+        FleetJobKind::Single { .. } => job.spec.to_json().render(),
+        FleetJobKind::Batch { plan, .. } => {
+            let cell = &plan.cells[item.cell.unwrap_or_default()];
+            JobSpec::Run(cell.spec.clone()).to_json().render()
         }
-        (FleetJobKind::Batch { plan, cells }, Some(index)) => {
-            if !matches!(cells.get(index), Some(CellState::Pending)) {
-                return;
-            }
-            let cell = &plan.cells[index];
-            (
-                cell.shard,
-                JobSpec::Run(cell.spec.clone()).to_json().render(),
-            )
-        }
-        _ => return, // malformed item; nothing sensible to do
     };
-    // A quarantined shard never comes back on its own; deterministically
-    // probe forward from the routed index for a shard still in rotation.
-    let Some(shard) = first_in_rotation(shared, shard) else {
-        // Every shard is quarantined; keep the item in play — an
-        // operator rollout is the one path back.
-        requeue(shared, class, item);
-        return;
+    // The pop checked this too, but a rollout may have paused the shard
+    // (or the supervisor quarantined it) since.
+    let Some(shard) = available_shard(shared, item.shard) else {
+        requeue(shared, item, "no shard available and dispatch queue closed");
+        return false;
     };
-    if shared.shards.is_paused(shard) {
-        // The rollout engine is draining/restarting this shard; keep the
-        // item in play until the shard comes back.
-        requeue(shared, class, item);
-        return;
-    }
     let outcome =
         shared
             .shards
@@ -485,20 +504,20 @@ fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
         // the cell on a server-side error.
         Ok(response) if response.status >= 500 => None,
         // A corrupt 202 is indistinguishable from garbage: the shard may
-        // or may not hold the job. Requeue — the duplicate-dispatch guard
-        // above drops the item if the poller lands it first.
+        // or may not hold the job. Requeue — the cell is still `Pending`,
+        // so it dispatches afresh and any orphaned shard-side copy just
+        // runs unobserved.
         Ok(response) => match shared.verify_reply(response) {
             Err(_) => None,
             Ok(response) => match response.into_result() {
                 Ok(accepted) => match json::parse(&accepted.body)
                     .ok()
-                    .as_ref()
-                    .and_then(|doc| get_u64(doc, "id"))
+                    .and_then(|doc| doc.get("id").and_then(Json::as_u64))
                 {
                     Some(remote) => Some(remote),
                     None => {
                         fail_cell(shared, &item, "shard sent an unreadable 202 body");
-                        return;
+                        return true;
                     }
                 },
                 Err(e) => {
@@ -507,177 +526,253 @@ fn dispatch(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
                     // cell; retrying cannot change a deterministic
                     // rejection.
                     fail_cell(shared, &item, &format!("shard rejected job: {e}"));
-                    return;
+                    return true;
                 }
             },
         },
         Err(_) => None, // connect/timeout → shard is restarting; requeue
     };
     let Some(remote) = remote else {
-        requeue(shared, class, item);
-        return;
+        requeue(shared, item, "shard unreachable and dispatch queue closed");
+        return false;
     };
-    shared.apply_update(item.fleet_id, |job| match (&mut job.kind, item.cell) {
-        (FleetJobKind::Single { cell, .. }, None) => {
+    let mut dispatched = false;
+    shared.apply_update(item.fleet_id, |job| {
+        if let Some(cell @ CellState::Pending) = job.cell_mut(item.cell) {
             *cell = CellState::Dispatched { shard, remote };
+            dispatched = true;
         }
-        (FleetJobKind::Batch { cells, .. }, Some(index)) => {
-            cells[index] = CellState::Dispatched { shard, remote };
-        }
-        _ => {}
     });
+    if dispatched {
+        spawn_watcher(shared, item, shard, remote);
+    }
+    true
 }
 
-/// Puts an undeliverable item back on the queue after a short pause. The
-/// requeue bypasses the class cap — the item was already admitted, and a
-/// momentarily full queue (e.g. a saturating burst while a shard is
-/// paused for a rollout) must not cost the job — so only a closed queue
-/// (shutdown) fails the cell.
-fn requeue(shared: &Arc<FleetShared>, class: Class, item: WorkItem) {
-    shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
-    std::thread::sleep(Duration::from_millis(100));
-    if shared.queue.requeue(class, (class, item)).is_err() {
-        fail_cell(shared, &item, "shard unreachable and dispatch queue closed");
+/// Puts an admitted item back on the queue. The requeue bypasses the
+/// class cap — the item was already admitted, and a momentarily full
+/// queue (e.g. a saturating burst while a shard restarts)
+/// must not cost the job — so only a closed queue (shutdown) fails the
+/// cell, with `reason`.
+fn requeue(shared: &Arc<FleetShared>, item: WorkItem, reason: &str) {
+    if shared.queue.requeue(item.class, item).is_err() {
+        fail_cell(shared, &item, reason);
     }
 }
 
 /// The first non-quarantined shard at or after `preferred`, probing
 /// forward deterministically (`(preferred + k) % n`) so the same cell
 /// keeps landing on the same substitute while the quarantine set is
-/// stable. `None` when every shard is out of rotation.
-fn first_in_rotation(shared: &Arc<FleetShared>, preferred: usize) -> Option<usize> {
+/// stable — or `None` when every shard is out of rotation (an operator
+/// rollout is the one path back) or that shard is paused (the rollout
+/// engine is draining and restarting it).
+fn available_shard(shared: &Arc<FleetShared>, preferred: usize) -> Option<usize> {
     let n = shared.shards.len();
     (0..n)
         .map(|k| (preferred + k) % n)
         .find(|&s| !shared.shards.is_quarantined(s))
+        .filter(|&s| !shared.shards.is_paused(s))
 }
 
 fn fail_cell(shared: &Arc<FleetShared>, item: &WorkItem, reason: &str) {
-    let reason = reason.to_owned();
-    shared.apply_update(item.fleet_id, |job| match (&mut job.kind, item.cell) {
-        (FleetJobKind::Single { cell, .. }, None) => {
-            *cell = CellState::Failed(reason.clone());
+    shared.apply_update(item.fleet_id, |job| {
+        if let Some(cell) = job.cell_mut(item.cell) {
+            *cell = CellState::Failed(reason.to_owned());
         }
-        (FleetJobKind::Batch { cells, .. }, Some(index)) => {
-            cells[index] = CellState::Failed(reason.clone());
-        }
-        _ => {}
     });
 }
 
-/// The poller: walks every unsettled fleet job and asks shards about its
-/// dispatched cells, landing results (and batch progress) on the board.
-fn poller_loop(shared: &Arc<FleetShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        for id in shared.board.active_ids() {
-            poll_job(shared, id);
-        }
-        std::thread::sleep(POLL_EVERY);
+/// Starts the cell's completion watcher ([`watch_cell`]) on its own
+/// thread, so watchers are bounded by cells in flight.
+fn spawn_watcher(shared: &Arc<FleetShared>, item: WorkItem, shard: usize, remote: u64) {
+    let watcher = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name(format!("baryon-fleet-watch-{}", item.fleet_id))
+        .spawn(move || watch_cell(&watcher, item, shard, remote));
+    if spawned.is_err() {
+        // Thread exhaustion: watch from this dispatcher instead — slower
+        // dispatch, but the cell is never orphaned.
+        watch_cell(shared, item, shard, remote);
     }
 }
 
-/// One poll pass over a fleet job's dispatched cells.
-fn poll_job(shared: &Arc<FleetShared>, id: u64) {
-    let Some(job) = shared.board.get(id) else {
-        return;
-    };
-    let dispatched: Vec<(Option<usize>, usize, u64)> = match &job.kind {
-        FleetJobKind::Single { cell, .. } => match cell {
-            CellState::Dispatched { shard, remote } => vec![(None, *shard, *remote)],
-            _ => Vec::new(),
-        },
-        FleetJobKind::Batch { cells, .. } => cells
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| match c {
-                CellState::Dispatched { shard, remote } => Some((Some(i), *shard, *remote)),
-                _ => None,
-            })
-            .collect(),
-    };
-    let before_done = job.cells_done();
-    for (cell_index, shard, remote) in dispatched {
-        let response = Client::new(shared.shards.addr(shard))
-            .connect_timeout(Duration::from_millis(500))
-            .read_timeout(Duration::from_secs(5))
-            .request("GET", &format!("/v1/jobs/{remote}"), None);
-        let record = match response {
-            Ok(r) if r.status == 404 => {
-                // The shard genuinely lost the job (journal-less restart
-                // or eviction) — put the cell back in play.
-                shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
-                let item = WorkItem {
-                    fleet_id: id,
-                    cell: cell_index,
-                };
-                shared.apply_update(id, |job| match (&mut job.kind, cell_index) {
-                    (FleetJobKind::Single { cell, .. }, None) => *cell = CellState::Pending,
-                    (FleetJobKind::Batch { cells, .. }, Some(i)) => {
-                        cells[i] = CellState::Pending;
-                    }
-                    _ => {}
-                });
-                if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-                    fail_cell(shared, &item, "shard lost the job and queue is closed");
-                }
-                continue;
-            }
-            // A reply failing its CRC frame is a lying shard: discard it
-            // and poll again next tick rather than settle a cell on
-            // garbage.
-            Ok(r) => match shared.verify_reply(r) {
-                Ok(r) => match r.into_result() {
-                    Ok(ok) => json::parse(&ok.body).ok(),
-                    Err(_) => continue, // transient server-side error; retry next tick
-                },
-                Err(_) => continue,
-            },
-            Err(_) => continue, // shard restarting; retry next tick
-        };
-        let Some(record) = record else { continue };
-        let state = get_str(&record, "state").unwrap_or("");
-        let update: Option<CellState> = match state {
-            "done" => obj_get(&record, "result").cloned().map(CellState::Done),
-            "failed" => Some(CellState::Failed(
-                get_str(&record, "error")
-                    .unwrap_or("shard job failed")
-                    .to_owned(),
-            )),
-            "cancelled" => Some(CellState::Failed("cancelled on shard".to_owned())),
-            _ => None, // queued / running — keep polling
-        };
-        let Some(update) = update else { continue };
-        // The `rolling_to` read happens inside the board lock: staged
-        // resolution clears the flag *before* taking that lock, so a
-        // result landing after resolution scanned the board sees 0 here
-        // and settles directly — no cell can stay staged forever.
-        shared.apply_update(id, |job| {
-            let update = match update.clone() {
-                CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
-                    CellState::Staged(doc)
-                }
-                other => other,
+/// A dispatched cell's completion watcher: follows the shard-local job's
+/// event stream until `end`, then fetches its record once and lands the
+/// cell. It exits as soon as the board stops showing this dispatch (the
+/// cell landed, failed over, or its job settled) or the fleet shuts
+/// down; a transport error (a shard restarting) reconnects to the
+/// shard's current address after a short bounded backoff.
+fn watch_cell(shared: &Arc<FleetShared>, item: WorkItem, shard: usize, remote: u64) {
+    let mut backoff = WATCH_BACKOFF_FLOOR;
+    while still_dispatched(shared, item, shard, remote) {
+        if follow_events(shared, item, shard, remote) && fetch_and_land(shared, item, shard, remote)
+        {
+            return;
+        }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(WATCH_BACKOFF_CAP);
+    }
+}
+
+/// Whether the board still shows the item's cell as
+/// `Dispatched { shard, remote }` on an unsettled job, with the fleet up.
+fn still_dispatched(shared: &Arc<FleetShared>, item: WorkItem, shard: usize, remote: u64) -> bool {
+    !shared.shutdown.load(Ordering::SeqCst)
+        && shared.board.get(item.fleet_id).is_some_and(|mut job| {
+            let dispatched = CellState::Dispatched { shard, remote };
+            !job.state.is_settled() && job.cell_mut(item.cell).is_some_and(|c| *c == dispatched)
+        })
+}
+
+/// Follows the shard-local job's event stream to its end. A single run's
+/// `progress` events are relayed onto the coordinator's board under the
+/// fleet ID, dropping any whose `ops` is not past what the board already
+/// shows — a restarted shard replays its run from a checkpoint, and a
+/// failed-over run restarts from zero, yet a client's `ops` stays
+/// strictly monotonic. (Batch progress is cell counts, published as cells
+/// land.) Chunks failing their CRC frame are dropped and counted in
+/// `fleet.shard.reply_errors`. True when the shard has answered for the job — the stream sent
+/// `end`, or the shard refused it (e.g. a 404 after losing it) — so a
+/// status fetch can settle it; false on a transport error.
+fn follow_events(shared: &Arc<FleetShared>, item: WorkItem, shard: usize, remote: u64) -> bool {
+    let id = item.fleet_id;
+    let mut last_ops = shared.progress.get(id).map_or(0, |p| p.ops);
+    let (mut ended, mut corrupt) = (false, 0);
+    let path = format!("/v1/jobs/{remote}/events");
+    let outcome = Client::new(shared.shards.addr(shard))
+        .connect_timeout(Duration::from_millis(500))
+        .read_timeout(Duration::from_secs(30))
+        .stream_checked(&path, &mut corrupt, &mut |line| {
+            let Ok(doc) = json::parse(line) else {
+                return;
             };
-            match (&mut job.kind, cell_index) {
-                (FleetJobKind::Single { cell, .. }, None) => *cell = update,
-                (FleetJobKind::Batch { cells, .. }, Some(i)) => cells[i] = update,
-                _ => {}
+            if doc.get("event").and_then(Json::as_str) == Some("end") {
+                ended = true;
+            } else if let Some(p) = JobProgress::from_json(&doc).filter(|_| item.cell.is_none()) {
+                if p.ops > last_ops {
+                    last_ops = p.ops;
+                    shared
+                        .progress
+                        .publish(id, |jp| *jp = JobProgress { seq: jp.seq, ..p });
+                }
             }
         });
+    // Chunks failing their CRC frame (a lying shard) were dropped unread.
+    shared
+        .metrics
+        .reply_errors
+        .fetch_add(corrupt, Ordering::Relaxed);
+    ended || matches!(outcome, Err(ClientError::Api { .. }))
+}
+
+/// The one status fetch per landing: a CRC-verified
+/// `GET /v1/jobs/<remote>`. A settled record lands the cell; a 404 (the
+/// shard lost the job to a journal-less restart or eviction) puts it back
+/// in play. True once the cell is resolved either way; false when the
+/// fetch must be retried (transport error, corrupt reply, or a record not
+/// settled yet).
+fn fetch_and_land(shared: &Arc<FleetShared>, item: WorkItem, shard: usize, remote: u64) -> bool {
+    shared
+        .metrics
+        .status_fetches
+        .fetch_add(1, Ordering::Relaxed);
+    let Ok(response) = Client::new(shared.shards.addr(shard))
+        .connect_timeout(Duration::from_millis(500))
+        .read_timeout(Duration::from_secs(5))
+        .request("GET", &format!("/v1/jobs/{remote}"), None)
+    else {
+        return false;
+    };
+    if response.status == 404 {
+        if land_cell(shared, item, shard, remote, CellState::Pending) {
+            shared.metrics.redispatched.fetch_add(1, Ordering::Relaxed);
+        }
+        return true;
     }
-    // Publish batch progress when cells landed this pass (settled jobs
-    // already published their final snapshot in apply_update).
-    if let Some(job) = shared.board.get(id) {
-        let (done, total) = (job.cells_done(), job.cells_total());
-        if total > 1 && done > before_done && !job.state.is_settled() {
-            shared.progress.publish(id, |jp| {
+    let Some(record) = shared
+        .verify_reply(response)
+        .ok()
+        .and_then(|r| r.into_result().ok())
+        .and_then(|r| json::parse(&r.body).ok())
+    else {
+        return false;
+    };
+    let to = match record.get("state").and_then(Json::as_str) {
+        Some("done") => match record.get("result") {
+            Some(doc) => CellState::Done(doc.clone()),
+            None => return false,
+        },
+        Some("failed") => CellState::Failed(
+            record
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("shard job failed")
+                .to_owned(),
+        ),
+        Some("cancelled") => CellState::Failed("cancelled on shard".to_owned()),
+        _ => return false, // queued / running: follow the stream again
+    };
+    land_cell(shared, item, shard, remote, to);
+    true
+}
+
+/// The one transition off `Dispatched`: moves the item's cell to `to` if
+/// the board still shows it as `Dispatched { shard, remote }`, so a late
+/// or duplicate landing (a failed-over cell, a watcher that lost a race)
+/// changes nothing. A `Done` result is held `Staged` while a roll is in
+/// flight; a cell sent back to `Pending` is requeued. Returns whether the
+/// cell moved.
+fn land_cell(
+    shared: &Arc<FleetShared>,
+    item: WorkItem,
+    shard: usize,
+    remote: u64,
+    to: CellState,
+) -> bool {
+    let back_to_pending = to == CellState::Pending;
+    let mut moved = false;
+    // Everything below runs under the board lock. The `rolling_to` read:
+    // staged resolution clears the flag *before* taking that lock, so a
+    // result landing after resolution scanned the board sees 0 here and
+    // settles directly — no cell can stay staged forever. The batch
+    // progress publish: landings are serialized, and none follows the
+    // settle's final snapshot, so `cells_done` never goes backwards.
+    shared.apply_update(item.fleet_id, |job| {
+        let Some(cell) = job.cell_mut(item.cell) else {
+            return;
+        };
+        if *cell != (CellState::Dispatched { shard, remote }) {
+            return;
+        }
+        *cell = match to {
+            CellState::Done(doc) if shared.rolling_to.load(Ordering::SeqCst) > 0 => {
+                CellState::Staged(doc)
+            }
+            other => other,
+        };
+        moved = true;
+        if back_to_pending {
+            return;
+        }
+        shared.metrics.landed.fetch_add(1, Ordering::Relaxed);
+        if item.cell.is_some() {
+            let (done, total) = (job.cells_done(), job.cells_total());
+            shared.progress.publish(item.fleet_id, |jp| {
                 jp.phase = "measure";
                 jp.cells_done = done;
                 jp.cells_total = total;
                 jp.ops = done;
             });
         }
+    });
+    if moved && back_to_pending {
+        requeue(
+            shared,
+            item,
+            "cell lost its shard and dispatch queue is closed",
+        );
     }
+    moved
 }
 
 /// The supervisor: periodic health sweep over the shard set. A shard
@@ -699,53 +794,24 @@ fn supervisor_loop(shared: &Arc<FleetShared>) {
 
 /// Re-dispatches every cell that was in flight on a newly quarantined
 /// shard: the cell goes back to `Pending` and onto the queue, where
-/// [`dispatch`] routes it around the dead slot. The shard's journal
-/// still holds the jobs, but nothing will replay it until an operator
-/// rolls the shard back in — waiting on it would strand the cells.
+/// [`dispatch`] routes it around the dead slot (its watcher sees the
+/// move and exits). The shard's journal still holds the jobs, but nothing
+/// will replay it until an operator rolls the shard back in — waiting on
+/// it would strand the cells.
 fn fail_over_shard(shared: &Arc<FleetShared>, index: usize) {
     for id in shared.board.active_ids() {
         let Some(job) = shared.board.get(id) else {
             continue;
         };
-        let stranded: Vec<Option<usize>> = match &job.kind {
-            FleetJobKind::Single { cell, .. } => match cell {
-                CellState::Dispatched { shard, .. } if *shard == index => vec![None],
-                _ => Vec::new(),
-            },
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| match c {
-                    CellState::Dispatched { shard, .. } if *shard == index => Some(Some(i)),
-                    _ => None,
-                })
-                .collect(),
-        };
-        for cell_index in stranded {
-            // Re-check under the board lock: the poller may have landed
-            // the cell between the snapshot above and now.
-            let mut moved = false;
-            shared.apply_update(id, |job| {
-                let cell = match (&mut job.kind, cell_index) {
-                    (FleetJobKind::Single { cell, .. }, None) => cell,
-                    (FleetJobKind::Batch { cells, .. }, Some(i)) => &mut cells[i],
-                    _ => return,
-                };
-                if matches!(cell, CellState::Dispatched { shard, .. } if *shard == index) {
-                    *cell = CellState::Pending;
-                    moved = true;
-                }
-            });
-            if !moved {
+        for (i, cell) in job.cells().iter().enumerate() {
+            let CellState::Dispatched { shard, remote } = *cell else {
                 continue;
-            }
-            shared.metrics.failover.fetch_add(1, Ordering::Relaxed);
-            let item = WorkItem {
-                fleet_id: id,
-                cell: cell_index,
             };
-            if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-                fail_cell(shared, &item, "shard quarantined and dispatch queue closed");
+            let item = WorkItem::of(&job, job.item_index(i));
+            // `land_cell` re-checks under the board lock: the watcher may
+            // have landed the cell since the snapshot above.
+            if shard == index && land_cell(shared, item, shard, remote, CellState::Pending) {
+                shared.metrics.failover.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -771,7 +837,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<FleetShared>) {
         };
         if let Some(id) = events_target(&request) {
             if shared.board.get(id).is_some() {
-                let _ = stream_fleet_events(shared, id, &mut writer);
+                // Every fleet stream reads the coordinator's own board: a
+                // single run's progress as its completion watcher relays
+                // it, a batch's cell counts as cells land, and `end` as
+                // soon as the settle publishes its final snapshot.
+                let _ = shared
+                    .progress
+                    .stream_events(id, &mut writer, || shared.board.state(id));
             } else {
                 let _ = Response::error(404, ErrorCode::NotFound, "no such job")
                     .write_to(&mut writer, true);
@@ -956,54 +1028,32 @@ fn submit(shared: &Arc<FleetShared>, request: &Request) -> Response {
     }
     // Plan the dispatch: singles hash-route whole; grids scatter
     // cell-by-cell across every shard.
-    let (kind, items) = match &spec {
-        JobSpec::Run(_) => (
-            FleetJobKind::Single {
-                shard: 0, // patched below once the fleet ID is known
-                cell: CellState::Pending,
-            },
-            Vec::new(),
-        ),
+    let kind = match &spec {
+        JobSpec::Run(_) => FleetJobKind::Single {
+            shard: 0, // patched below once the fleet ID is known
+            cell: CellState::Pending,
+        },
         JobSpec::Grid(grid) => {
             let plan = BatchPlan::scatter(grid, shared.shards.len());
-            let n = plan.cells.len();
-            (
-                FleetJobKind::Batch {
-                    plan,
-                    cells: vec![CellState::Pending; n],
-                },
-                (0..n).collect(),
-            )
+            let cells = vec![CellState::Pending; plan.cells.len()];
+            FleetJobKind::Batch { plan, cells }
         }
     };
-    let single = items.is_empty();
     let id = shared.board.admit(spec, client.clone(), class, kind);
-    if single {
-        // The route is a function of the fleet ID, which admit assigned.
-        let shard = crate::shard::route(id, shared.shards.len());
-        shared.board.update(id, |job| {
-            if let FleetJobKind::Single { shard: s, .. } = &mut job.kind {
-                *s = shard;
-            }
-        });
-    }
-    let work: Vec<WorkItem> = if single {
-        vec![WorkItem {
-            fleet_id: id,
-            cell: None,
-        }]
-    } else {
-        items
-            .into_iter()
-            .map(|cell| WorkItem {
-                fleet_id: id,
-                cell: Some(cell),
-            })
-            .collect()
-    };
+    // A single's route is a function of the fleet ID, which admit assigned.
+    let route = crate::shard::route(id, shared.shards.len());
+    let mut work = Vec::new();
+    shared.board.update(id, |job| {
+        if let FleetJobKind::Single { shard, .. } = &mut job.kind {
+            *shard = route;
+        }
+        work = (0..job.cells().len())
+            .map(|i| WorkItem::of(job, job.item_index(i)))
+            .collect();
+    });
     let cells_total = work.len() as u64;
     for (i, item) in work.iter().enumerate() {
-        match shared.queue.push(class, (class, *item)) {
+        match shared.queue.push(class, *item) {
             Ok(()) => {}
             Err(e) => {
                 // Roll the whole job back; cells already queued will find
@@ -1238,13 +1288,8 @@ fn resolve_staged_results(shared: &Arc<FleetShared>, accept: bool) {
         let Some(job) = shared.board.get(id) else {
             continue;
         };
-        let item = WorkItem {
-            fleet_id: id,
-            cell: cell_index,
-        };
-        if shared.queue.requeue(job.class, (job.class, item)).is_err() {
-            fail_cell(shared, &item, "staged result quarantined and queue closed");
-        }
+        let item = WorkItem::of(&job, cell_index);
+        requeue(shared, item, "staged result quarantined and queue closed");
     }
 }
 
@@ -1365,8 +1410,8 @@ fn roll_shard(
     outcome
 }
 
-/// Waits until the shard has no dispatched cells (the poller lands them
-/// as they finish; new dispatches requeue while the shard is paused).
+/// Waits until the shard has no dispatched cells (their watchers land
+/// them as they finish; new dispatches requeue while the shard is paused).
 fn drain_shard(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     let deadline = Instant::now() + env_ms("BARYON_FLEET_DRAIN_TIMEOUT_MS", 60_000);
     while shard_busy(shared, index) {
@@ -1384,16 +1429,12 @@ fn shard_busy(shared: &Arc<FleetShared>, index: usize) -> bool {
         let Some(job) = shared.board.get(id) else {
             continue;
         };
-        let busy = match &job.kind {
-            // Match on where the cell actually landed, not the routed
-            // shard — failover can dispatch a single off its home route.
-            FleetJobKind::Single { cell, .. } => {
-                matches!(cell, CellState::Dispatched { shard, .. } if *shard == index)
-            }
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .any(|c| matches!(c, CellState::Dispatched { shard, .. } if *shard == index)),
-        };
+        // Match on where the cell actually landed, not the routed shard —
+        // failover can dispatch a single off its home route.
+        let busy = job
+            .cells()
+            .iter()
+            .any(|c| matches!(c, CellState::Dispatched { shard, .. } if *shard == index));
         if busy {
             return true;
         }
@@ -1444,7 +1485,7 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
     let id = json::parse(&accepted.body)
         .ok()
         .as_ref()
-        .and_then(|doc| get_u64(doc, "id"))
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
         .ok_or_else(|| "canary 202 body unreadable".to_owned())?;
     let deadline = Instant::now() + env_ms("BARYON_FLEET_CANARY_TIMEOUT_MS", 30_000);
     loop {
@@ -1455,12 +1496,15 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
             .and_then(|r| r.into_result().ok())
             .and_then(|r| json::parse(&r.body).ok());
         if let Some(record) = record {
-            match get_str(&record, "state") {
+            match record.get("state").and_then(Json::as_str) {
                 Some("done") => return Ok(()),
                 Some("failed") => {
                     return Err(format!(
                         "canary failed under the new config: {}",
-                        get_str(&record, "error").unwrap_or("no error detail")
+                        record
+                            .get("error")
+                            .and_then(Json::as_str)
+                            .unwrap_or("no error detail")
                     ))
                 }
                 _ => {}
@@ -1481,36 +1525,27 @@ fn canary(shared: &Arc<FleetShared>, index: usize) -> Result<(), String> {
 fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
     let mut reg = Registry::new();
     let m = &shared.metrics;
-    reg.set_counter("fleet.jobs.submitted", m.submitted.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.jobs.rejected_quota",
-        m.rejected_quota.load(Ordering::Relaxed),
-    );
-    reg.set_counter(
-        "fleet.jobs.rejected_queue",
-        m.rejected_queue.load(Ordering::Relaxed),
-    );
-    reg.set_counter("fleet.jobs.done", m.done.load(Ordering::Relaxed));
-    reg.set_counter("fleet.jobs.failed", m.failed.load(Ordering::Relaxed));
-    reg.set_counter("fleet.jobs.cancelled", m.cancelled.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.dispatch.requeued",
-        m.redispatched.load(Ordering::Relaxed),
-    );
+    for (name, counter) in [
+        ("fleet.jobs.submitted", &m.submitted),
+        ("fleet.jobs.rejected_quota", &m.rejected_quota),
+        ("fleet.jobs.rejected_queue", &m.rejected_queue),
+        ("fleet.jobs.done", &m.done),
+        ("fleet.jobs.failed", &m.failed),
+        ("fleet.jobs.cancelled", &m.cancelled),
+        ("fleet.dispatch.requeued", &m.redispatched),
+        ("fleet.cells.failover", &m.failover),
+        ("fleet.cells.landed", &m.landed),
+        ("fleet.shard.reply_errors", &m.reply_errors),
+        ("fleet.shard.status_fetches", &m.status_fetches),
+        ("fleet.config.quarantined_results", &m.quarantined_results),
+    ] {
+        reg.set_counter(name, counter.load(Ordering::Relaxed));
+    }
     reg.set_counter("fleet.shards.total", shared.shards.len() as u64);
     reg.set_counter("fleet.shards.restarts", shared.shards.restarts());
     reg.set_gauge(
         "fleet.shards.quarantined",
         shared.shards.quarantined_count() as f64,
-    );
-    reg.set_counter("fleet.cells.failover", m.failover.load(Ordering::Relaxed));
-    reg.set_counter(
-        "fleet.shard.reply_errors",
-        m.reply_errors.load(Ordering::Relaxed),
-    );
-    reg.set_counter(
-        "fleet.config.quarantined_results",
-        m.quarantined_results.load(Ordering::Relaxed),
     );
     {
         let machine = shared.config.lock().expect("config lock poisoned");
@@ -1539,7 +1574,7 @@ fn metrics_response(shared: &Arc<FleetShared>, _query: &str) -> Response {
             .and_then(|r| shared.verify_reply(r).ok())
             .and_then(|r| r.into_result().ok())
             .and_then(|r| json::parse(&r.body).ok())
-            .and_then(|doc| get_str(&doc, "wire").map(str::to_owned))
+            .and_then(|doc| doc.get("wire").and_then(Json::as_str).map(str::to_owned))
             .and_then(|hex| wire::from_hex(&hex).ok())
             .and_then(|bytes| {
                 let mut reader = wire::Reader::new(&bytes);
@@ -1568,197 +1603,9 @@ fn shutdown(shared: &Arc<FleetShared>) -> Response {
     )
 }
 
-/// How many empty 500 ms waits between `alive` heartbeats on an idle
-/// fleet event stream.
-const STREAM_HEARTBEAT_WAITS: u32 = 20;
-
-/// Streams a fleet job's events. Batch jobs synthesize `progress` from
-/// the coordinator's cell bookkeeping; single runs proxy the executing
-/// shard's own event stream with the shard-local ID rewritten to the
-/// fleet ID (and a monotonicity filter so a shard restart's replayed
-/// early events never reach the client out of order).
-fn stream_fleet_events(
-    shared: &Arc<FleetShared>,
-    id: u64,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
-    let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
-    let mut last_seq = 0;
-    let mut last_ops = 0;
-    let mut idle_waits = 0;
-    loop {
-        let Some(job) = shared.board.get(id) else {
-            return end_event(stream, id, "evicted");
-        };
-        if job.state.is_settled() {
-            return end_event(stream, id, job.state.as_str());
-        }
-        // A dispatched single run proxies the shard's stream directly —
-        // live simulator progress, not 100 ms polling granularity.
-        if let FleetJobKind::Single {
-            shard,
-            cell: CellState::Dispatched { remote, .. },
-        } = &job.kind
-        {
-            proxy_single_stream(shared, id, *shard, *remote, &mut stream, &mut last_ops)?;
-            // The shard's stream ended (job settled there, or the shard
-            // died mid-run). Loop: the poller lands the result, or the
-            // restarted shard's resumed job re-opens above.
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        // Queued singles and batches watch the coordinator's own board.
-        if let Some(p) = shared.progress.get(id) {
-            if p.seq > last_seq {
-                last_seq = p.seq;
-                idle_waits = 0;
-                let mut line = p.to_json(id).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-        if shared
-            .progress
-            .wait_past(id, last_seq, Duration::from_millis(500))
-            .is_none()
-        {
-            idle_waits += 1;
-            if idle_waits >= STREAM_HEARTBEAT_WAITS {
-                idle_waits = 0;
-                let mut line =
-                    Json::obj([("event", Json::from("alive")), ("id", Json::from(id))]).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-    }
-}
-
-fn end_event(mut stream: ChunkedWriter<&mut TcpStream>, id: u64, state: &str) -> io::Result<()> {
-    let mut line = Json::obj([
-        ("event", Json::from("end")),
-        ("id", Json::from(id)),
-        ("state", Json::from(state)),
-    ])
-    .render();
-    line.push('\n');
-    stream.chunk(line.as_bytes())?;
-    stream.finish()
-}
-
-/// Follows one shard-local event stream, forwarding `progress` and
-/// `alive` events with the ID rewritten to the fleet ID. The shard's own
-/// `end` event is swallowed — the fleet-level end comes from the board
-/// once the poller lands the result. Returns when the shard stream closes
-/// or errors (the caller re-checks the board and reconnects).
-fn proxy_single_stream(
-    shared: &Arc<FleetShared>,
-    fleet_id: u64,
-    shard: usize,
-    remote: u64,
-    stream: &mut ChunkedWriter<&mut TcpStream>,
-    last_ops: &mut u64,
-) -> io::Result<()> {
-    let mut write_error: Option<io::Error> = None;
-    let outcome = Client::new(shared.shards.addr(shard))
-        .connect_timeout(Duration::from_millis(500))
-        .read_timeout(Duration::from_secs(30))
-        .stream(&format!("/v1/jobs/{remote}/events"), &mut |line| {
-            if write_error.is_some() {
-                return; // client is gone; drain the shard stream quietly
-            }
-            let Ok(mut doc) = json::parse(line) else {
-                return;
-            };
-            match get_str(&doc, "event") {
-                Some("progress") => {
-                    // After a shard restart the resumed run replays from
-                    // its checkpoint; drop anything at or behind what the
-                    // client already saw so `ops` stays strictly monotonic.
-                    let ops = get_u64(&doc, "ops").unwrap_or(0);
-                    if ops <= *last_ops {
-                        return;
-                    }
-                    *last_ops = ops;
-                }
-                Some("alive") => {}
-                _ => return, // `end` (and anything unknown) is not forwarded
-            }
-            set_field(&mut doc, "id", Json::from(fleet_id));
-            let mut text = doc.render();
-            text.push('\n');
-            if let Err(e) = stream.chunk(text.as_bytes()) {
-                write_error = Some(e);
-            }
-        });
-    if let Some(e) = write_error {
-        return Err(e); // the streaming client hung up
-    }
-    // Shard-side errors (404 from a journal-less restart, connection
-    // drop mid-restart) are not fatal to the fleet stream — the caller
-    // loops and reconnects.
-    let _ = outcome;
-    Ok(())
-}
-
-/// Looks up `key` in a JSON object.
-fn obj_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// `key` as a non-negative integer.
-fn get_u64(doc: &Json, key: &str) -> Option<u64> {
-    match obj_get(doc, key)? {
-        Json::U64(n) => Some(*n),
-        Json::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-/// `key` as a string.
-fn get_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    match obj_get(doc, key)? {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-/// Replaces (or appends) `key` in a JSON object.
-fn set_field(doc: &mut Json, key: &str, value: Json) {
-    if let Json::Obj(pairs) = doc {
-        match pairs.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => pairs.push((key.to_owned(), value)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_field_helpers() {
-        let mut doc = json::parse(r#"{"id":3,"state":"done","ops":42}"#).expect("valid");
-        assert_eq!(get_u64(&doc, "id"), Some(3));
-        assert_eq!(get_str(&doc, "state"), Some("done"));
-        assert_eq!(get_u64(&doc, "missing"), None);
-        assert_eq!(get_str(&doc, "id"), None, "wrong type is None");
-        set_field(&mut doc, "id", Json::from(9u64));
-        set_field(&mut doc, "extra", Json::Bool(true));
-        assert_eq!(get_u64(&doc, "id"), Some(9));
-        assert_eq!(
-            doc.render(),
-            r#"{"id":9,"state":"done","ops":42,"extra":true}"#
-        );
-        // Non-objects are left alone.
-        let mut arr = Json::Arr(vec![]);
-        set_field(&mut arr, "id", Json::Null);
-        assert_eq!(arr, Json::Arr(vec![]));
-    }
 
     #[test]
     fn default_config_is_sane() {

@@ -15,10 +15,12 @@
 //!   a restarted shard replays its write-ahead journal and resumes
 //!   interrupted runs from checkpoints, so a mid-sweep `SIGKILL` costs
 //!   latency, never results ([`shard::ShardSet`]).
-//! * **Streaming** — `GET /v1/jobs/<id>/events` at the coordinator
-//!   proxies the executing shard's chunked progress stream for single
-//!   runs (IDs rewritten, monotonicity preserved across restarts) and
-//!   synthesizes cell-completion progress for batches.
+//! * **Completion & streaming** — each dispatched cell's watcher follows
+//!   the executing shard's chunked event stream to its end, then fetches
+//!   the result once (no polling). `GET /v1/jobs/<id>/events` at the
+//!   coordinator streams from the coordinator's own progress board:
+//!   single-run progress relayed by the watcher (monotonic across shard
+//!   restarts) and cell-completion progress for batches.
 //! * **Telemetry** — `GET /v1/metrics` merges every shard's
 //!   full-fidelity wire registry into one fleet document under
 //!   `shard<i>.` namespaces, alongside the coordinator's own `fleet.*`

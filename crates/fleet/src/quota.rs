@@ -14,6 +14,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 /// The two service classes of the coordinator's dispatch queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,21 +202,36 @@ impl<T> QosQueue<T> {
         Ok(())
     }
 
-    /// Blocks for the next item — interactive first, batch only when the
-    /// interactive level is empty. `None` once closed and fully drained.
-    pub fn pop(&self) -> Option<T> {
+    /// Blocks for the next item `ready` accepts — interactive first, each
+    /// level oldest first — leaving unready items in place (e.g. cells for
+    /// a shard that is paused), so they never hold up ready work or lose
+    /// their place. Queued-but-unready items are re-checked every
+    /// `recheck`. Once closed, drains whatever is left, ready or not, then
+    /// returns `None`.
+    pub fn pop(&self, ready: impl Fn(&T) -> bool, recheck: Duration) -> Option<T> {
         let mut levels = self.levels.lock().expect("queue lock poisoned");
         loop {
-            if let Some(item) = levels.interactive.pop_front() {
-                return Some(item);
-            }
-            if let Some(item) = levels.batch.pop_front() {
-                return Some(item);
+            let Levels {
+                interactive,
+                batch,
+                closed,
+            } = &mut *levels;
+            for level in [interactive, batch] {
+                if let Some(at) = level.iter().position(|item| *closed || ready(item)) {
+                    return level.remove(at);
+                }
             }
             if levels.closed {
                 return None;
             }
-            levels = self.available.wait(levels).expect("queue lock poisoned");
+            levels = if levels.interactive.is_empty() && levels.batch.is_empty() {
+                self.available.wait(levels).expect("queue lock poisoned")
+            } else {
+                self.available
+                    .wait_timeout(levels, recheck)
+                    .expect("queue lock poisoned")
+                    .0
+            };
         }
     }
 
@@ -261,6 +277,41 @@ mod tests {
         quotas.release("nobody"); // releasing an unknown client is a no-op
     }
 
+    /// Pops with every item ready.
+    fn any(q: &QosQueue<u32>) -> Option<u32> {
+        q.pop(|_| true, Duration::ZERO)
+    }
+
+    #[test]
+    fn unready_items_keep_their_place_without_blocking_ready_ones() {
+        let q: QosQueue<u32> = QosQueue::new(8);
+        q.push(Class::Interactive, 1).expect("room");
+        q.push(Class::Batch, 2).expect("room");
+        q.push(Class::Batch, 3).expect("room");
+        // Odd items are held (their shard is paused): the ready batch item
+        // overtakes them, and they are still first once ready.
+        let even = |n: &u32| n.is_multiple_of(2);
+        assert_eq!(q.pop(even, Duration::from_millis(1)), Some(2));
+        assert_eq!(any(&q), Some(1));
+        assert_eq!(any(&q), Some(3));
+        // A held item is re-checked while the popper waits.
+        q.push(Class::Batch, 5).expect("room");
+        let released = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                released.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            let ready = |_: &u32| released.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(q.pop(ready, Duration::from_millis(5)), Some(5));
+        });
+        // Closing drains held items too.
+        q.push(Class::Batch, 7).expect("room");
+        q.close();
+        assert_eq!(q.pop(|_| false, Duration::from_millis(1)), Some(7));
+        assert_eq!(any(&q), None);
+    }
+
     #[test]
     fn interactive_preempts_batch() {
         let q: QosQueue<u32> = QosQueue::new(8);
@@ -269,7 +320,7 @@ mod tests {
         q.push(Class::Interactive, 10).expect("room");
         q.push(Class::Interactive, 11).expect("room");
         assert_eq!(q.depths(), (2, 2));
-        let order: Vec<u32> = (0..4).map(|_| q.pop().expect("item")).collect();
+        let order: Vec<u32> = (0..4).map(|_| any(&q).expect("item")).collect();
         assert_eq!(order, [10, 11, 1, 2], "interactive drains first");
     }
 
@@ -282,9 +333,9 @@ mod tests {
         q.push(Class::Interactive, 3).expect("own cap");
         q.close();
         assert_eq!(q.push(Class::Interactive, 4), Err(QueueError::Closed));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None, "closed and drained");
+        assert_eq!(any(&q), Some(3));
+        assert_eq!(any(&q), Some(1));
+        assert_eq!(any(&q), None, "closed and drained");
     }
 
     #[test]
@@ -297,9 +348,9 @@ mod tests {
         assert_eq!(q.depths(), (2, 0));
         q.close();
         assert_eq!(q.requeue(Class::Interactive, 3), Err(QueueError::Closed));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        assert_eq!(any(&q), Some(1));
+        assert_eq!(any(&q), Some(2));
+        assert_eq!(any(&q), None);
     }
 
     #[test]
@@ -340,7 +391,7 @@ mod tests {
         for round in 0..32 {
             q.push(Class::Interactive, 1000 + round).expect("room");
             q.push(Class::Batch, 100 + round).expect("room");
-            let got = q.pop().expect("item");
+            let got = any(&q).expect("item");
             assert_eq!(
                 got,
                 1000 + round,
@@ -353,8 +404,8 @@ mod tests {
     fn pop_wakes_on_push() {
         let q = std::sync::Arc::new(QosQueue::<u32>::new(4));
         let waiter = std::sync::Arc::clone(&q);
-        let handle = std::thread::spawn(move || waiter.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let handle = std::thread::spawn(move || any(&waiter));
+        std::thread::sleep(Duration::from_millis(20));
         q.push(Class::Batch, 7).expect("room");
         assert_eq!(handle.join().expect("no panic"), Some(7));
     }

@@ -7,9 +7,10 @@
 //! cell-by-cell across every shard via
 //! [`baryon_bench::batch::BatchPlan`] and gathered back into the exact
 //! document a single-process execution would have produced. Dispatchers
-//! move work from `Pending` to `Dispatched{shard, remote}`; the poller
-//! moves it to `Done`/`Failed` as shard-local jobs settle, and a batch
-//! settles when its last cell does.
+//! move work from `Pending` to `Dispatched{shard, remote}`; the cell's
+//! completion watcher moves it to `Done`/`Failed` when the shard-local job
+//! settles, and a batch settles when its last cell does. Every cell-state
+//! write goes through [`FleetJob::cell_mut`].
 
 use baryon_bench::batch::BatchPlan;
 use baryon_bench::spec::JobSpec;
@@ -31,7 +32,9 @@ pub enum CellState {
     Dispatched {
         /// The shard index executing it.
         shard: usize,
-        /// The shard-local job ID to poll.
+        /// The shard-local job ID; the cell's completion watcher follows
+        /// its event stream and lands the cell while the board still shows
+        /// this exact `(shard, remote)` pair.
         remote: u64,
     },
     /// Finished on a shard whose config generation is still mid-rollout:
@@ -106,13 +109,9 @@ impl FleetJob {
             ("client".to_owned(), Json::from(self.client.as_str())),
             ("spec".to_owned(), self.spec.to_json()),
         ];
-        if let FleetJobKind::Batch { cells, .. } = &self.kind {
-            let done = cells
-                .iter()
-                .filter(|c| matches!(c, CellState::Done(_)))
-                .count();
-            pairs.push(("cells_total".to_owned(), Json::from(cells.len() as u64)));
-            pairs.push(("cells_done".to_owned(), Json::from(done as u64)));
+        if let FleetJobKind::Batch { .. } = &self.kind {
+            pairs.push(("cells_total".to_owned(), Json::from(self.cells_total())));
+            pairs.push(("cells_done".to_owned(), Json::from(self.cells_done())));
         }
         if let Some(result) = &self.result {
             pairs.push(("result".to_owned(), result.clone()));
@@ -123,33 +122,48 @@ impl FleetJob {
         Json::Obj(pairs)
     }
 
+    /// Every cell: a single run's one cell, or a batch's cells row-major.
+    pub fn cells(&self) -> &[CellState] {
+        match &self.kind {
+            FleetJobKind::Single { cell, .. } => std::slice::from_ref(cell),
+            FleetJobKind::Batch { cells, .. } => cells,
+        }
+    }
+
+    /// The work-item index of `cells()[i]`: `None` for a single run's
+    /// cell, `Some(i)` for a batch cell.
+    pub fn item_index(&self, i: usize) -> Option<usize> {
+        matches!(self.kind, FleetJobKind::Batch { .. }).then_some(i)
+    }
+
+    /// The cell a work-item index addresses (see [`FleetJob::item_index`]),
+    /// or `None` when the index does not fit the job's kind.
+    pub fn cell_mut(&mut self, index: Option<usize>) -> Option<&mut CellState> {
+        match (&mut self.kind, index) {
+            (FleetJobKind::Single { cell, .. }, None) => Some(cell),
+            (FleetJobKind::Batch { cells, .. }, Some(i)) => cells.get_mut(i),
+            _ => None,
+        }
+    }
+
     /// Whether any cell's result is staged behind an in-flight rollout.
     pub fn has_staged(&self) -> bool {
-        match &self.kind {
-            FleetJobKind::Single { cell, .. } => matches!(cell, CellState::Staged(_)),
-            FleetJobKind::Batch { cells, .. } => {
-                cells.iter().any(|c| matches!(c, CellState::Staged(_)))
-            }
-        }
+        self.cells()
+            .iter()
+            .any(|c| matches!(c, CellState::Staged(_)))
     }
 
     /// Count of settled-successful cells (1 for a done single run).
     pub fn cells_done(&self) -> u64 {
-        match &self.kind {
-            FleetJobKind::Single { cell, .. } => u64::from(matches!(cell, CellState::Done(_))),
-            FleetJobKind::Batch { cells, .. } => cells
-                .iter()
-                .filter(|c| matches!(c, CellState::Done(_)))
-                .count() as u64,
-        }
+        self.cells()
+            .iter()
+            .filter(|c| matches!(c, CellState::Done(_)))
+            .count() as u64
     }
 
     /// Total cells (1 for a single run).
     pub fn cells_total(&self) -> u64 {
-        match &self.kind {
-            FleetJobKind::Single { .. } => 1,
-            FleetJobKind::Batch { cells, .. } => cells.len() as u64,
-        }
+        self.cells().len() as u64
     }
 }
 
@@ -232,7 +246,7 @@ impl JobBoard {
     /// Runs `apply` on the job's record under the board lock, then
     /// derives the job-level state from its cells: any failed cell fails
     /// the job (first failure wins), all-done completes it (a batch runs
-    /// its gather here), any dispatched cell marks it running. Returns
+    /// its gather here), any non-pending cell marks it running. Returns
     /// the `(client, class)` pair when this call settled the job — the
     /// caller must release that quota slot exactly once.
     pub fn update(&self, id: u64, apply: impl FnOnce(&mut FleetJob)) -> Option<(String, Class)> {
@@ -246,45 +260,48 @@ impl JobBoard {
             // `apply` settled it directly (e.g. cancel).
             return Some((job.client.clone(), job.class));
         }
-        let settled = match &job.kind {
-            FleetJobKind::Single { cell, .. } => match cell {
-                CellState::Pending => None,
-                CellState::Dispatched { .. } | CellState::Staged(_) => {
-                    job.state = JobState::Running;
-                    None
-                }
-                CellState::Done(doc) => Some((JobState::Done, Some(doc.clone()), None)),
-                CellState::Failed(e) => Some((JobState::Failed, None, Some(e.clone()))),
-            },
-            FleetJobKind::Batch { plan, cells } => {
-                if let Some(CellState::Failed(e)) =
-                    cells.iter().find(|c| matches!(c, CellState::Failed(_)))
-                {
-                    Some((JobState::Failed, None, Some(e.clone())))
-                } else if cells.iter().all(CellState::is_settled) {
-                    let slots = cells
-                        .iter()
-                        .map(|c| match c {
-                            CellState::Done(doc) => Some(doc.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    match plan.gather(slots) {
-                        Ok(doc) => Some((JobState::Done, Some(doc), None)),
-                        Err(e) => Some((JobState::Failed, None, Some(e))),
-                    }
-                } else {
-                    if cells.iter().any(|c| !matches!(c, CellState::Pending)) {
-                        job.state = JobState::Running;
-                    }
-                    None
-                }
+        let cells = job.cells();
+        let settled = if let Some(CellState::Failed(e)) =
+            cells.iter().find(|c| matches!(c, CellState::Failed(_)))
+        {
+            (JobState::Failed, None, Some(e.clone()))
+        } else if cells.iter().all(CellState::is_settled) {
+            let slots: Vec<Option<Json>> = cells
+                .iter()
+                .map(|c| match c {
+                    CellState::Done(doc) => Some(doc.clone()),
+                    _ => None,
+                })
+                .collect();
+            let gathered = match &job.kind {
+                FleetJobKind::Single { .. } => slots
+                    .into_iter()
+                    .next()
+                    .flatten()
+                    .ok_or_else(|| "single run settled without a result".to_owned()),
+                FleetJobKind::Batch { plan, .. } => plan.gather(slots),
+            };
+            match gathered {
+                Ok(doc) => (JobState::Done, Some(doc), None),
+                Err(e) => (JobState::Failed, None, Some(e)),
             }
+        } else {
+            if cells.iter().any(|c| !matches!(c, CellState::Pending)) {
+                job.state = JobState::Running;
+            }
+            return None;
         };
-        let (state, result, error) = settled?;
+        let (state, result, error) = settled;
         job.state = state;
         job.result = result;
         job.error = error;
+        // The job's result now holds every cell's document; drop the
+        // per-cell copies so a settled job costs one result, not two.
+        for i in 0..job.cells().len() {
+            if let Some(CellState::Done(doc)) = job.cell_mut(job.item_index(i)) {
+                *doc = Json::Null;
+            }
+        }
         Some((job.client.clone(), job.class))
     }
 
@@ -326,22 +343,18 @@ impl JobBoard {
         };
         for id in ids {
             let mut touched: Vec<Option<usize>> = Vec::new();
-            let resolve =
-                |cell: &mut CellState, index: Option<usize>, touched: &mut Vec<Option<usize>>| {
-                    if let CellState::Staged(doc) = cell {
-                        touched.push(index);
-                        *cell = if accept {
-                            CellState::Done(doc.clone())
-                        } else {
-                            CellState::Pending
-                        };
-                    }
-                };
-            let released = self.update(id, |job| match &mut job.kind {
-                FleetJobKind::Single { cell, .. } => resolve(cell, None, &mut touched),
-                FleetJobKind::Batch { cells, .. } => {
-                    for (i, cell) in cells.iter_mut().enumerate() {
-                        resolve(cell, Some(i), &mut touched);
+            let released = self.update(id, |job| {
+                for i in 0..job.cells().len() {
+                    let index = job.item_index(i);
+                    if let Some(cell) = job.cell_mut(index) {
+                        if let CellState::Staged(doc) = cell {
+                            *cell = if accept {
+                                CellState::Done(doc.clone())
+                            } else {
+                                CellState::Pending
+                            };
+                            touched.push(index);
+                        }
                     }
                 }
             });
@@ -356,7 +369,7 @@ impl JobBoard {
         out
     }
 
-    /// Snapshot of every unsettled job's ID (the poller's work list).
+    /// Snapshot of every unsettled job's ID.
     pub fn active_ids(&self) -> Vec<u64> {
         self.jobs
             .lock()
@@ -365,13 +378,6 @@ impl JobBoard {
             .filter(|j| !j.state.is_settled())
             .map(|j| j.id)
             .collect()
-    }
-
-    /// Counts of `(total, settled)` jobs on the board.
-    pub fn counts(&self) -> (usize, usize) {
-        let jobs = self.jobs.lock().expect("job board lock poisoned");
-        let settled = jobs.values().filter(|j| j.state.is_settled()).count();
-        (jobs.len(), settled)
     }
 }
 
@@ -414,21 +420,18 @@ mod tests {
 
         // Dispatch moves it to running, without settling.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Dispatched {
-                    shard: 0,
-                    remote: 7,
-                };
-            }
+            *j.cell_mut(None).expect("cell") = CellState::Dispatched {
+                shard: 0,
+                remote: 7,
+            };
         });
         assert_eq!(settled, None);
         assert_eq!(board.state(id), Some(JobState::Running));
 
         // Completion settles it and reports the quota slot to release.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Done(Json::obj([("ok", Json::Bool(true))]));
-            }
+            *j.cell_mut(None).expect("cell") =
+                CellState::Done(Json::obj([("ok", Json::Bool(true))]));
         });
         assert_eq!(settled, Some(("alice".into(), Class::Interactive)));
         let job = board.get(id).expect("job");
@@ -437,9 +440,7 @@ mod tests {
 
         // A late update cannot reopen or re-release.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Failed("late".into());
-            }
+            *j.cell_mut(None).expect("cell") = CellState::Failed("late".into());
         });
         assert_eq!(settled, None);
         assert_eq!(board.state(id), Some(JobState::Done));
@@ -464,9 +465,7 @@ mod tests {
         // Finish all cells but the last; the job stays running.
         for i in 0..n - 1 {
             let settled = board.update(id, |j| {
-                if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                    cells[i] = CellState::Done(Json::from(i as u64));
-                }
+                *j.cell_mut(Some(i)).expect("cell") = CellState::Done(Json::from(i as u64));
             });
             assert_eq!(settled, None, "cell {i} must not settle the batch");
         }
@@ -476,13 +475,17 @@ mod tests {
 
         // The last cell settles it; the gather is in row-major order.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[n - 1] = CellState::Done(Json::from((n - 1) as u64));
-            }
+            *j.cell_mut(Some(n - 1)).expect("cell") = CellState::Done(Json::from((n - 1) as u64));
         });
         assert_eq!(settled, Some(("bob".into(), Class::Batch)));
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
+        // The gathered result is the only copy kept: per-cell documents
+        // are dropped once the job settles.
+        assert!(job
+            .cells()
+            .iter()
+            .all(|c| *c == CellState::Done(Json::Null)));
         assert_eq!(job.result.expect("result").render(), r#"{"results":[0,1]}"#);
 
         // A failing cell fails the whole batch immediately.
@@ -496,9 +499,7 @@ mod tests {
             },
         );
         let settled = board.update(id2, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[0] = CellState::Failed("no such workload".into());
-            }
+            *j.cell_mut(Some(0)).expect("cell") = CellState::Failed("no such workload".into());
         });
         assert_eq!(settled, Some(("bob".into(), Class::Batch)));
         let job = board.get(id2).expect("job");
@@ -525,10 +526,8 @@ mod tests {
         // One cell settles normally; the other finished on a mid-rollout
         // shard, so its result is staged. The batch must NOT gather yet.
         let settled = board.update(id, |j| {
-            if let FleetJobKind::Batch { cells, .. } = &mut j.kind {
-                cells[0] = CellState::Done(Json::from(0u64));
-                cells[1] = CellState::Staged(Json::from(1u64));
-            }
+            *j.cell_mut(Some(0)).expect("cell") = CellState::Done(Json::from(0u64));
+            *j.cell_mut(Some(1)).expect("cell") = CellState::Staged(Json::from(1u64));
         });
         assert_eq!(settled, None, "a staged cell must not settle the batch");
         assert_eq!(board.state(id), Some(JobState::Running));
@@ -554,9 +553,7 @@ mod tests {
             single_kind(),
         );
         board.update(id, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Staged(Json::from(42u64));
-            }
+            *j.cell_mut(None).expect("cell") = CellState::Staged(Json::from(42u64));
         });
 
         // The roll failed: the staged result is quarantined and the cell
@@ -607,12 +604,10 @@ mod tests {
             single_kind(),
         );
         board.update(running, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Dispatched {
-                    shard: 0,
-                    remote: 1,
-                };
-            }
+            *j.cell_mut(None).expect("cell") = CellState::Dispatched {
+                shard: 0,
+                remote: 1,
+            };
         });
         assert_eq!(
             board.cancel(running),
@@ -636,12 +631,9 @@ mod tests {
             single_kind(),
         );
         board.update(a, |j| {
-            if let FleetJobKind::Single { cell, .. } = &mut j.kind {
-                *cell = CellState::Done(Json::Null);
-            }
+            *j.cell_mut(None).expect("cell") = CellState::Done(Json::Null);
         });
         assert_eq!(board.active_ids(), vec![b]);
-        assert_eq!(board.counts(), (2, 1));
         board.forget(b);
         assert!(board.active_ids().is_empty());
     }

@@ -6,15 +6,16 @@
 //! `baryon-cli serve` and the self-forking test gates speak this
 //! contract. Every shard gets its own journal directory, so a restarted
 //! shard replays its journal, re-enqueues never-started jobs, and resumes
-//! interrupted runs from their checkpoints; the coordinator's pollers
-//! simply keep polling the same shard-local job IDs at the new address.
+//! interrupted runs from their checkpoints; the coordinator's completion
+//! watchers simply reconnect to the same shard-local job IDs at the new
+//! address.
 
 use baryon_serve::client::Client;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -42,13 +43,14 @@ pub struct ShardLauncher {
 }
 
 impl ShardLauncher {
-    /// Spawns one shard and waits for its `ADDR <addr>` line.
+    /// Spawns one shard and waits for its `ADDR <addr>` line. The caller
+    /// owns the child (benches use this for a standalone serve process).
     ///
     /// # Errors
     ///
     /// Spawn failures, or `InvalidData` if the child exits (or closes
     /// stdout) before announcing its address.
-    fn spawn(
+    pub fn spawn(
         &self,
         journal_dir: &Path,
         policy_path: Option<&Path>,
@@ -118,9 +120,6 @@ struct Shard {
     /// Policy file this incarnation booted with (may diverge from the
     /// launcher's during a rolling rollout); respawns reuse it.
     policy_path: Option<PathBuf>,
-    /// Paused shards are skipped by the supervisor and receive no new
-    /// dispatches — the rollout engine pauses a shard while draining it.
-    paused: bool,
     /// Supervisor-driven respawns within [`RESPAWN_WINDOW`] of each other
     /// (a crash loop); resets once the shard stays up past the window.
     consecutive_respawns: u32,
@@ -128,11 +127,21 @@ struct Shard {
     last_respawn: Option<Instant>,
     /// Crash-loop backoff: the supervisor will not respawn before this.
     backoff_until: Option<Instant>,
+}
+
+/// A shard's routing state, kept outside its slot lock: the dispatch path
+/// reads it for every queued cell, and must not wait while a respawn
+/// holds the slot for seconds.
+#[derive(Default)]
+struct Flags {
+    /// Paused shards are skipped by the supervisor and receive no new
+    /// dispatches — the rollout engine pauses a shard while draining it.
+    paused: AtomicBool,
     /// Quarantined shards exhausted their crash-loop budget: the
     /// supervisor stops respawning them and the coordinator routes
     /// around them. Only a deliberate
     /// [`ShardSet::restart_with_policy`] brings one back.
-    quarantined: bool,
+    quarantined: AtomicBool,
 }
 
 /// Consecutive health-probe failures before a live-but-wedged shard is
@@ -196,6 +205,7 @@ pub struct ShardSet {
     launcher: ShardLauncher,
     journal_root: PathBuf,
     slots: Vec<Mutex<Shard>>,
+    flags: Vec<Flags>,
     restarts: AtomicU64,
     /// Crash-loop budget before a shard is quarantined (0 = never).
     quarantine_after: u32,
@@ -229,11 +239,9 @@ impl ShardSet {
                     generation: 0,
                     health_failures: 0,
                     policy_path: launcher.policy_path.clone(),
-                    paused: false,
                     consecutive_respawns: 0,
                     last_respawn: None,
                     backoff_until: None,
-                    quarantined: false,
                 })),
                 Err(e) => {
                     for slot in &slots {
@@ -249,6 +257,7 @@ impl ShardSet {
             launcher,
             journal_root: journal_root.to_path_buf(),
             slots,
+            flags: (0..count).map(|_| Flags::default()).collect(),
             restarts: AtomicU64::new(0),
             quarantine_after: quarantine_after_from_env(),
         })
@@ -288,43 +297,31 @@ impl ShardSet {
     /// stops dispatching to it. Used while the rollout engine drains and
     /// restarts the shard.
     pub fn pause(&self, index: usize) {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused = true;
+        self.flags[index].paused.store(true, Ordering::SeqCst);
     }
 
     /// Resumes supervision and dispatch for a paused shard.
     pub fn unpause(&self, index: usize) {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused = false;
+        self.flags[index].paused.store(false, Ordering::SeqCst);
     }
 
     /// Whether the shard is paused.
     pub fn is_paused(&self, index: usize) -> bool {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .paused
+        self.flags[index].paused.load(Ordering::SeqCst)
     }
 
     /// Whether the shard has exhausted its crash-loop budget and been
     /// taken out of rotation.
     pub fn is_quarantined(&self, index: usize) -> bool {
-        self.slots[index]
-            .lock()
-            .expect("shard lock poisoned")
-            .quarantined
+        self.flags[index].quarantined.load(Ordering::SeqCst)
     }
 
     /// How many shards are currently quarantined. Exported as the
     /// `fleet.shards.quarantined` gauge.
     pub fn quarantined_count(&self) -> u64 {
-        self.slots
+        self.flags
             .iter()
-            .filter(|slot| slot.lock().expect("shard lock poisoned").quarantined)
+            .filter(|flags| flags.quarantined.load(Ordering::SeqCst))
             .count() as u64
     }
 
@@ -366,7 +363,7 @@ impl ShardSet {
             // block address lookups on the dispatch path.
             let (addr, generation, dead) = {
                 let mut shard = slot.lock().expect("shard lock poisoned");
-                if shard.paused || shard.quarantined {
+                if self.is_paused(i) || self.is_quarantined(i) {
                     continue; // owned by the rollout engine / out of rotation
                 }
                 if let Some(until) = shard.backoff_until {
@@ -436,7 +433,7 @@ impl ShardSet {
                 _ => 1,
             };
             if self.quarantine_after > 0 && prospective >= self.quarantine_after {
-                shard.quarantined = true;
+                self.flags[index].quarantined.store(true, Ordering::SeqCst);
                 let _ = shard.child.kill();
                 let _ = shard.child.wait();
                 eprintln!(
@@ -537,7 +534,7 @@ impl ShardSet {
         shard.backoff_until = None;
         // A deliberate operator-driven restart is the one path back into
         // rotation for a quarantined shard.
-        shard.quarantined = false;
+        self.flags[index].quarantined.store(false, Ordering::SeqCst);
         Ok(())
     }
 

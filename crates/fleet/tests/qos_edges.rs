@@ -4,78 +4,14 @@
 //! exhaustion (the 429 wins), and interactive starvation-freedom under
 //! a saturating batch backlog.
 
-use baryon_fleet::{Fleet, FleetConfig, FleetController, ShardLauncher};
+mod common;
+
 use baryon_serve::client::Client;
 use baryon_sim::json::{self, Json};
+use common::{await_end, body_id, Harness};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-fn launcher(workers: usize, queue_depth: usize) -> ShardLauncher {
-    ShardLauncher {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_fleet_gate")),
-        prefix_args: vec!["--shard".to_owned()],
-        workers,
-        queue_depth,
-        policy_path: None,
-        extra_env: Vec::new(),
-    }
-}
-
-struct Harness {
-    addr: SocketAddr,
-    controller: FleetController,
-    server: Option<std::thread::JoinHandle<()>>,
-    journal_root: PathBuf,
-}
-
-impl Harness {
-    fn boot(tag: &str, cfg_queue_cap: usize, max_in_flight: usize) -> Harness {
-        let journal_root = std::env::temp_dir().join(format!(
-            "baryon-qos-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&journal_root);
-        let fleet = Fleet::bind(
-            FleetConfig {
-                port: 0,
-                shards: 1,
-                workers_per_shard: 1,
-                shard_queue_depth: 64,
-                queue_cap: cfg_queue_cap,
-                max_in_flight_per_client: max_in_flight,
-                journal_root: journal_root.clone(),
-            },
-            launcher(1, 64),
-        )
-        .expect("fleet boots");
-        let addr = fleet.local_addr();
-        let controller = fleet.controller();
-        let server = std::thread::spawn(move || {
-            let _ = fleet.run();
-        });
-        Harness {
-            addr,
-            controller,
-            server: Some(server),
-            journal_root,
-        }
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        let _ = Client::new(self.addr)
-            .read_timeout(Duration::from_secs(10))
-            .request("POST", "/v1/shutdown", None);
-        if let Some(server) = self.server.take() {
-            let _ = server.join();
-        }
-        let _ = std::fs::remove_dir_all(&self.journal_root);
-    }
-}
+use std::time::Duration;
 
 /// A raw HTTP exchange with custom headers (the typed client has no
 /// header hook; quota identity rides on `x-baryon-client`). Returns
@@ -140,59 +76,6 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn body_id(body: &str) -> u64 {
-    let doc = json::parse(body).expect("json body");
-    match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "id")
-            .and_then(|(_, v)| match v {
-                Json::U64(n) => Some(*n),
-                _ => None,
-            })
-            .expect("id field"),
-        _ => panic!("not an object: {body}"),
-    }
-}
-
-fn job_state(addr: SocketAddr, id: u64) -> String {
-    let response = Client::new(addr)
-        .read_timeout(Duration::from_secs(10))
-        .request("GET", &format!("/v1/jobs/{id}"), None)
-        .expect("status fetch");
-    let doc = json::parse(&response.body).expect("json");
-    match &doc {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == "state")
-            .and_then(|(_, v)| match v {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap_or_default(),
-        _ => String::new(),
-    }
-}
-
-fn await_state(addr: SocketAddr, id: u64, wanted: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let state = job_state(addr, id);
-        if state == wanted {
-            return;
-        }
-        assert!(
-            state != "failed" || wanted == "failed",
-            "job {id} failed while waiting for {wanted}"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "job {id} stuck in {state:?} waiting for {wanted:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 const RUN: &str = r#"{"workload":"ycsb-a","controller":"simple","insts":20000,"warmup":2000,"scale":2048,"seed":3}"#;
 
 #[test]
@@ -238,7 +121,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     // Let the fleet run the ghost's job to completion; the ghost never
     // reconnects to claim it.
     h.controller.unpause_shard(0);
-    await_state(h.addr, id, "done");
+    assert_eq!(await_end(h.addr, id), "done");
     // The slot came back without any client-side action.
     let (status, _, body) = raw_request(
         h.addr,
@@ -249,7 +132,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     );
     assert_eq!(status, 202, "quota released on settle: {body}");
     let released = body_id(&body);
-    await_state(h.addr, released, "done");
+    assert_eq!(await_end(h.addr, released), "done");
 }
 
 #[test]
@@ -329,15 +212,35 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     // Drain everything so shutdown is clean.
     h.controller.unpause_shard(0);
     for id in ids {
-        await_state(h.addr, id, "done");
+        assert_eq!(await_end(h.addr, id), "done");
     }
+}
+
+/// The coordinator runs `max(shards, 2)` dispatcher threads; each holds
+/// at most one popped item at a time.
+const DISPATCHERS: u64 = 2;
+
+/// The `spec.seed` of shard-local job `remote`, read straight from the
+/// shard.
+fn shard_job_seed(shard: SocketAddr, remote: u64) -> u64 {
+    let response = Client::new(shard)
+        .read_timeout(Duration::from_secs(10))
+        .request("GET", &format!("/v1/jobs/{remote}"), None)
+        .expect("shard status fetch");
+    let doc = json::parse(&response.body).expect("json");
+    doc.get("spec")
+        .and_then(|spec| spec.get("seed"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("shard job {remote} has no seed: {}", response.body))
 }
 
 #[test]
 fn interactive_stays_live_under_saturating_batch_load() {
     let h = Harness::boot("starvation", 256, 64);
-    // A standing batch backlog: several grids, all cells on the single
-    // one-worker shard.
+    // Hold the single one-worker shard so a standing batch backlog
+    // (several grids, 8 cells) queues at the coordinator ahead of the
+    // interactive job.
+    h.controller.pause_shard(0);
     let grid = r#"{"grid":{"workloads":["ycsb-a","pr.twi"],"controllers":["simple","baryon"],"insts":100000,"warmup":10000,"scale":1024,"seed":7}}"#;
     let mut batch_ids = Vec::new();
     for _ in 0..2 {
@@ -361,16 +264,22 @@ fn interactive_stays_live_under_saturating_batch_load() {
     );
     assert_eq!(status, 202, "{body}");
     let interactive = body_id(&body);
-    await_state(h.addr, interactive, "done");
-    let unfinished_batches = batch_ids
-        .iter()
-        .filter(|&&id| job_state(h.addr, id) != "done")
-        .count();
-    assert!(
-        unfinished_batches > 0,
-        "the batch backlog drained before the interactive job — grow the grid"
-    );
-    for id in batch_ids {
-        await_state(h.addr, id, "done");
+    h.controller.unpause_shard(0);
+    assert_eq!(await_end(h.addr, interactive), "done");
+    for id in &batch_ids {
+        assert_eq!(await_end(h.addr, *id), "done");
     }
+    // Order, not wall time: the shard numbers jobs as they arrive. Cells
+    // for a paused shard stay queued in place, so once it resumes the
+    // interactive job pops first; at most one batch cell per other
+    // dispatcher may be in flight ahead of it.
+    let shard = h.controller.shard_addr(0);
+    let position = (1..=9)
+        .find(|&remote| shard_job_seed(shard, remote) == 3)
+        .expect("the interactive job reached the shard");
+    assert!(
+        position <= DISPATCHERS,
+        "{} batch cells reached the shard before the interactive job",
+        position - 1
+    );
 }

@@ -15,6 +15,7 @@
 //! and read timeouts, honouring the server's `Retry-After` header.
 
 use crate::error::{ApiError, ErrorCode};
+use baryon_compress::crc::crc32;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -267,7 +268,8 @@ impl Client {
     /// `on_line` with each newline-terminated event line as it arrives,
     /// returning once the server terminates the stream. A non-chunked
     /// response is treated as the API refusing to stream: its body is
-    /// decoded into [`ClientError::Api`].
+    /// decoded into [`ClientError::Api`]. Chunks failing their `crc`
+    /// extension are dropped unread (see [`Client::stream_checked`]).
     ///
     /// # Errors
     ///
@@ -275,6 +277,24 @@ impl Client {
     /// as for [`Client::request`]; [`ClientError::Api`] when the server
     /// answered with a plain (error) response instead of a stream.
     pub fn stream(&self, path: &str, on_line: &mut dyn FnMut(&str)) -> Result<(), ClientError> {
+        self.stream_checked(path, &mut 0, on_line)
+    }
+
+    /// [`Client::stream`], adding to `dropped` every chunk whose payload
+    /// does not hash to the CRC-32 in its `crc` chunk extension (a body
+    /// flipped in flight). Such chunks are discarded, never passed to
+    /// `on_line`; chunks without the extension are trusted.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::stream`]; `dropped` still counts what was
+    /// discarded before the error.
+    pub fn stream_checked(
+        &self,
+        path: &str,
+        dropped: &mut u64,
+        on_line: &mut dyn FnMut(&str),
+    ) -> Result<(), ClientError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)
             .map_err(ClientError::Connect)?;
         let mut exchange = || -> io::Result<Result<(), ClientResponse>> {
@@ -304,7 +324,9 @@ impl Client {
                 if reader.read_line(&mut size_line)? == 0 {
                     return Err(malformed("connection closed inside chunked stream"));
                 }
-                let size_str = size_line.trim().split(';').next().unwrap_or("").trim();
+                let mut fields = size_line.trim().split(';');
+                let size_str = fields.next().unwrap_or("").trim();
+                let crc = fields.find_map(|ext| ext.trim().strip_prefix("crc="));
                 let size =
                     usize::from_str_radix(size_str, 16).map_err(|_| malformed("bad chunk size"))?;
                 if size == 0 {
@@ -316,6 +338,10 @@ impl Client {
                     return Err(malformed("chunk not terminated by CRLF"));
                 }
                 chunk.truncate(size);
+                if crc.is_some_and(|claimed| claimed != format!("{:08x}", crc32(&chunk))) {
+                    *dropped += 1;
+                    continue;
+                }
                 pending.push_str(
                     std::str::from_utf8(&chunk).map_err(|_| malformed("chunk is not UTF-8"))?,
                 );
@@ -772,6 +798,30 @@ mod tests {
             .stream("/v1/jobs/1/events", &mut |line| lines.push(line.to_owned()))
             .expect("stream completes");
         assert_eq!(lines, ["a", "bc"]);
+    }
+
+    #[test]
+    fn stream_checked_drops_chunks_failing_their_crc() {
+        // "a\n" framed with its true CRC, then "b\n" framed with the CRC
+        // of "c\n" (a byte flipped in flight), then an unframed "d\n".
+        let raw: &'static str = Box::leak(
+            format!(
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                 2;crc={:08x}\r\na\n\r\n2;crc={:08x}\r\nb\n\r\n2\r\nd\n\r\n0\r\n\r\n",
+                crc32(b"a\n"),
+                crc32(b"c\n"),
+            )
+            .into_boxed_str(),
+        );
+        let addr = canned_server(Box::leak(Box::new([raw])));
+        let (mut lines, mut dropped) = (Vec::new(), 0);
+        Client::new(addr)
+            .stream_checked("/v1/jobs/1/events", &mut dropped, &mut |line| {
+                lines.push(line.to_owned());
+            })
+            .expect("stream completes");
+        assert_eq!(lines, ["a", "d"]);
+        assert_eq!(dropped, 1);
     }
 
     #[test]

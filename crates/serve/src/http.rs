@@ -263,7 +263,12 @@ impl<W: Write> ChunkedWriter<W> {
     }
 
     /// Writes one chunk and flushes it. Empty payloads are skipped — a
-    /// zero-length chunk would terminate the stream.
+    /// zero-length chunk would terminate the stream. Like a plain
+    /// response's [`CRC_HEADER`], every chunk carries the CRC-32 of its
+    /// payload, as a `crc` chunk extension (`<size>;crc=<hex>`, ignored by
+    /// readers that do not check it), stamped before the chaos layer's
+    /// response corruption fires — so a reader can drop a chunk flipped
+    /// in flight instead of trusting it.
     ///
     /// # Errors
     ///
@@ -272,8 +277,14 @@ impl<W: Write> ChunkedWriter<W> {
         if payload.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", payload.len())?;
-        self.w.write_all(payload)?;
+        write!(self.w, "{:x};crc={:08x}\r\n", payload.len(), crc32(payload))?;
+        if faultfs::global().is_some() {
+            let mut body = payload.to_vec();
+            let _ = faultfs::corrupt_response(&mut body);
+            self.w.write_all(&body)?;
+        } else {
+            self.w.write_all(payload)?;
+        }
         self.w.write_all(b"\r\n")?;
         self.w.flush()
     }
@@ -482,6 +493,8 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.contains("x-baryon-job: 7\r\n"), "{text}");
         assert!(text.ends_with("0\r\n\r\n"), "{text}");
+        let frame = format!("15;crc={:08x}\r\n", crc32(b"{\"event\":\"progress\"}\n"));
+        assert!(text.contains(&frame), "chunks carry their CRC: {text}");
         // Strip the head and decode the body back.
         let split = text.find("\r\n\r\n").expect("head terminator") + 4;
         let mut r = BufReader::new(&out[split..]);

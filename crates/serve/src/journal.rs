@@ -149,17 +149,22 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating as needed) the journal inside `dir`.
+    /// Opens (creating as needed) the journal inside `dir`, cutting any
+    /// damaged tail first: replay stops at the first torn or corrupt
+    /// record, so without the cut every record this incarnation appends
+    /// would land behind the damage, unreachable by the next replay.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and open failures.
+    /// Propagates directory-creation, open, read, and truncate failures.
     pub fn open(dir: &Path) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(JOURNAL_FILE))?;
+        let path = dir.join(JOURNAL_FILE);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let valid = decode_records(&fs::read(&path)?).1 as u64;
+        if valid < file.metadata()?.len() {
+            file.set_len(valid)?;
+        }
         Ok(Journal {
             file: Mutex::new(file),
         })
@@ -199,14 +204,15 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        Ok(decode_records(&bytes))
+        Ok(decode_records(&bytes).0)
     }
 }
 
 /// Decodes as many whole, CRC-valid records as the buffer holds, stopping
-/// at the first incomplete or corrupt one. Never panics: any byte prefix
-/// of a valid journal decodes to a prefix of its records.
-fn decode_records(bytes: &[u8]) -> Vec<JournalEvent> {
+/// at the first incomplete or corrupt one, and returns them with the byte
+/// length of that valid prefix. Never panics: any byte prefix of a valid
+/// journal decodes to a prefix of its records.
+fn decode_records(bytes: &[u8]) -> (Vec<JournalEvent>, usize) {
     let mut events = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= 8 {
@@ -224,7 +230,7 @@ fn decode_records(bytes: &[u8]) -> Vec<JournalEvent> {
         events.push(event);
         pos += 8 + len;
     }
-    events
+    (events, pos)
 }
 
 /// What a journaled job resolved to after replay.
@@ -461,6 +467,14 @@ mod tests {
         fs::write(&path, &damaged).expect("write damaged");
         let back = Journal::replay(&dir).expect("replay");
         assert_eq!(back, events()[..1]);
+        // The next incarnation cuts the damage off on open, so what it
+        // appends is reachable by the replay after that.
+        let journal = Journal::open(&dir).expect("reopen");
+        let late = JournalEvent::Cancel { id: 9 };
+        journal.append(&late).expect("append after reopen");
+        drop(journal);
+        let back = Journal::replay(&dir).expect("replay");
+        assert_eq!(back, [events()[0].clone(), late]);
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -8,7 +8,7 @@
 //! `Retry-After`, never blocking the accept path.
 
 use crate::error::ErrorCode;
-use crate::http::{read_request, ChunkedWriter, Request, Response};
+use crate::http::{read_request, Request, Response};
 use crate::job::{CancelOutcome, JobRecord, JobState, JobTable};
 use crate::journal::{recover, Journal, JournalEvent, RecoveredState};
 use crate::progress::ProgressBoard;
@@ -686,7 +686,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         // the job settles, then close.
         if let Some(id) = events_target(&request) {
             if shared.jobs.get(id).is_some() {
-                let _ = stream_events(shared, id, &mut writer);
+                let _ = shared
+                    .progress
+                    .stream_events(id, &mut writer, || shared.jobs.state(id));
             } else {
                 let _ = Response::error(404, ErrorCode::NotFound, "no such job")
                     .write_to(&mut writer, true);
@@ -714,71 +716,6 @@ fn events_target(request: &Request) -> Option<u64> {
         .strip_suffix("/events")?
         .parse()
         .ok()
-}
-
-/// How many empty waits (500 ms each) between `alive` heartbeats on an
-/// otherwise idle event stream — a dead peer is noticed within ~10 s even
-/// when the job publishes nothing (e.g. still queued).
-const STREAM_HEARTBEAT_WAITS: u32 = 20;
-
-/// Streams one JSON event object per line over chunked transfer encoding
-/// until the job settles: `progress` events whenever the job's
-/// [`crate::progress::JobProgress`] sequence moves (strictly monotonic
-/// `seq`/`ops` within a run), `alive` heartbeats across long gaps, and a
-/// final `end` event carrying the settled state.
-fn stream_events(shared: &Shared, id: u64, writer: &mut TcpStream) -> io::Result<()> {
-    let mut stream = ChunkedWriter::begin(&mut *writer, 200, &[])?;
-    let mut last_seq = 0;
-    let mut idle_waits = 0;
-    loop {
-        if let Some(p) = shared.progress.get(id) {
-            if p.seq > last_seq {
-                last_seq = p.seq;
-                idle_waits = 0;
-                let mut line = p.to_json(id).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-        let Some(state) = shared.jobs.state(id) else {
-            // Evicted mid-stream (retention cap) — close the stream with
-            // what we know.
-            let mut line = Json::obj([
-                ("event", Json::from("end")),
-                ("id", Json::from(id)),
-                ("state", Json::from("evicted")),
-            ])
-            .render();
-            line.push('\n');
-            stream.chunk(line.as_bytes())?;
-            return stream.finish();
-        };
-        if state.is_settled() {
-            let mut line = Json::obj([
-                ("event", Json::from("end")),
-                ("id", Json::from(id)),
-                ("state", Json::from(state.as_str())),
-            ])
-            .render();
-            line.push('\n');
-            stream.chunk(line.as_bytes())?;
-            return stream.finish();
-        }
-        if shared
-            .progress
-            .wait_past(id, last_seq, Duration::from_millis(500))
-            .is_none()
-        {
-            idle_waits += 1;
-            if idle_waits >= STREAM_HEARTBEAT_WAITS {
-                idle_waits = 0;
-                let mut line =
-                    Json::obj([("event", Json::from("alive")), ("id", Json::from(id))]).render();
-                line.push('\n');
-                stream.chunk(line.as_bytes())?;
-            }
-        }
-    }
 }
 
 /// Dispatches one request to its endpoint. The query string (if any) only

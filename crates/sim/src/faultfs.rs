@@ -23,7 +23,7 @@
 //! | `BARYON_CHAOS_FSYNC_FAIL_PPM` | `sync_data` errors (data stays in page cache) |
 //! | `BARYON_CHAOS_CORRUPT_PPM` | silent post-write single-byte flip on disk |
 //! | `BARYON_CHAOS_READ_FLIP_PPM` | single-byte flip in a read buffer (disk is untouched) |
-//! | `BARYON_CHAOS_RESPONSE_CORRUPT_PPM` | single-byte flip in an HTTP response body after its CRC is stamped (the "lying shard") |
+//! | `BARYON_CHAOS_RESPONSE_CORRUPT_PPM` | single-byte flip in an HTTP response body or event-stream chunk after its CRC is stamped (the "lying shard") |
 //!
 //! The process-global injector is initialized from the environment on
 //! first use; set the variables before the process starts (the fleet

@@ -58,6 +58,32 @@ impl Json {
         Json::Arr(items.into_iter().collect())
     }
 
+    /// The value under `key` when this is an object holding it (the first
+    /// match, should the object repeat a key).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// This value as a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::U64(n) => Some(n),
+            Json::I64(n) => u64::try_from(n).ok(),
+            _ => None,
+        }
+    }
+
+    /// This value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -532,6 +558,25 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn typed_accessors() {
+        let doc = parse(r#"{"id":3,"neg":-1,"state":"done","nested":{"ops":42}}"#).expect("valid");
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("neg").and_then(Json::as_u64), None, "negative");
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(doc.get("state").and_then(Json::as_u64), None, "wrong type");
+        assert_eq!(doc.get("id").and_then(Json::as_str), None, "wrong type");
+        assert_eq!(doc.get("missing"), None);
+        let ops = doc.get("nested").and_then(|n| n.get("ops"));
+        assert_eq!(ops.and_then(Json::as_u64), Some(42));
+        assert_eq!(
+            Json::Arr(vec![]).get("id"),
+            None,
+            "non-objects have no fields"
+        );
+        assert_eq!(Json::I64(7).as_u64(), Some(7));
+    }
 
     #[test]
     fn scalars_render() {

@@ -23,6 +23,13 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# The benchmark is a package of its own (empty `[workspace]`), so the
+# workspace steps above never build it — yet it drives the public
+# Fleet/FleetConfig/ShardLauncher API. Build and test it here so an API
+# change that breaks the benchmark fails CI, not the next benchmark run.
+echo "==> perfbench tests (separate package)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The full suite above already covers baryon-serve, but the serving
 # contract is important enough to gate on explicitly: an ephemeral-port
 # server must accept a job, backpressure a burst, and return results
@@ -101,9 +108,11 @@ cargo run --release -p baryon-fleet --bin chaos_gate --offline
 # its per-workload ops/sec regression floor (scale the floors with
 # BARYON_BENCH_FLOOR_SCALE on slow hosts). It also refreshes the
 # profiling document BENCH_sim_throughput.json at the repository root,
-# now including the fleet_submit control-plane figure (jobs/sec for
-# trivial specs through a live 2-shard coordinator).
-echo "==> bench: sim-throughput (regression floors + telemetry overhead gate)"
+# including the fleet_submit control-plane figure (jobs/sec for trivial
+# specs through a live 2-shard coordinator) and its latency gate: the
+# fleet's single-job p50 must stay within 2x that of one baryon-serve
+# process, measured interleaved in the same run.
+echo "==> bench: sim-throughput (regression floors + telemetry overhead + fleet latency gates)"
 cargo run --release -p baryon-fleet --bin sim_throughput --offline
 
 # Metadata footprint gate: runs the registry through baryon (flat remap
