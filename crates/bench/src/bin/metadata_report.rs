@@ -54,7 +54,6 @@ fn spec(workload: &str, controller: &str, insts: u64) -> RunSpec {
         seed: 42,
         mlp: 1,
         telemetry: true,
-        threads: 1,
     }
 }
 

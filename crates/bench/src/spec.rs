@@ -74,9 +74,6 @@ pub struct RunSpec {
     /// Off by default: disabled runs never read the host clock, keeping
     /// results bit-identical.
     pub telemetry: bool,
-    /// Host threads used to refill per-core trace shards. Purely a
-    /// throughput knob: any value produces bit-identical results.
-    pub threads: u64,
 }
 
 impl Default for RunSpec {
@@ -90,7 +87,6 @@ impl Default for RunSpec {
             seed: 42,
             mlp: 1,
             telemetry: false,
-            threads: 1,
         }
     }
 }
@@ -139,7 +135,9 @@ fn field_str_list(key: &str, value: &Json) -> Result<Vec<String>, String> {
 impl RunSpec {
     /// Builds a spec from a JSON object, starting from [`Default`] and
     /// overriding any of `workload`, `controller`, `insts`, `warmup`,
-    /// `scale`, `seed`, `mlp`, `telemetry`, `threads`.
+    /// `scale`, `seed`, `mlp`, `telemetry`. A `threads` field (a
+    /// non-negative integer) is type-checked and ignored, so specs that
+    /// still carry the retired knob stay readable.
     ///
     /// # Errors
     ///
@@ -160,7 +158,9 @@ impl RunSpec {
                 "seed" => spec.seed = field_u64(key, value)?,
                 "mlp" => spec.mlp = field_u64(key, value)?,
                 "telemetry" => spec.telemetry = field_bool(key, value)?,
-                "threads" => spec.threads = field_u64(key, value)?,
+                "threads" => {
+                    field_u64(key, value)?;
+                }
                 other => return Err(format!("unknown run spec field `{other}`")),
             }
         }
@@ -179,7 +179,6 @@ impl RunSpec {
             ("seed", Json::from(self.seed)),
             ("mlp", Json::from(self.mlp)),
             ("telemetry", Json::Bool(self.telemetry)),
-            ("threads", Json::from(self.threads)),
         ])
     }
 
@@ -206,9 +205,6 @@ impl RunSpec {
         }
         if self.mlp == 0 {
             return Err("`mlp` must be at least 1".to_owned());
-        }
-        if self.threads == 0 {
-            return Err("`threads` must be at least 1".to_owned());
         }
         Ok(())
     }
@@ -269,7 +265,6 @@ impl RunSpec {
         cfg.warmup_insts = self.warmup;
         cfg.mlp = self.mlp as usize;
         cfg.telemetry = self.telemetry;
-        cfg.threads = self.threads as usize;
         Ok(System::new(cfg, &workload, self.seed))
     }
 
@@ -439,7 +434,8 @@ pub struct GridSpec {
 
 impl GridSpec {
     /// Builds a grid from a JSON object with `workloads` and `controllers`
-    /// string arrays plus any [`RunSpec`] knob overrides.
+    /// string arrays plus any [`RunSpec`] knob overrides (including the
+    /// retired `threads`, checked and ignored as there).
     ///
     /// # Errors
     ///
@@ -461,7 +457,9 @@ impl GridSpec {
                 "seed" => base.seed = field_u64(key, value)?,
                 "mlp" => base.mlp = field_u64(key, value)?,
                 "telemetry" => base.telemetry = field_bool(key, value)?,
-                "threads" => base.threads = field_u64(key, value)?,
+                "threads" => {
+                    field_u64(key, value)?;
+                }
                 other => return Err(format!("unknown grid spec field `{other}`")),
             }
         }
@@ -547,7 +545,6 @@ impl JobSpec {
                     ("seed", Json::from(grid.base.seed)),
                     ("mlp", Json::from(grid.base.mlp)),
                     ("telemetry", Json::Bool(grid.base.telemetry)),
-                    ("threads", Json::from(grid.base.threads)),
                 ]),
             )]),
         }
@@ -609,7 +606,6 @@ mod tests {
             seed: 7,
             mlp: 2,
             telemetry: true,
-            threads: 4,
         };
         let back = RunSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(back, spec);
@@ -626,7 +622,6 @@ mod tests {
         assert_eq!(spec.scale, 256);
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.mlp, 1);
-        assert_eq!(spec.threads, 1);
     }
 
     #[test]
@@ -641,12 +636,24 @@ mod tests {
             r#"{"insts":0}"#,
             r#"{"scale":0}"#,
             r#"{"mlp":0}"#,
-            r#"{"threads":0}"#,
+            r#"{"threads":"eight"}"#,
             r#"[1,2]"#,
         ] {
             let doc = parse(bad).expect("valid json");
             assert!(RunSpec::from_json(&doc).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn retired_threads_field_is_read_and_dropped() {
+        let doc = parse(r#"{"workload":"ycsb-a","threads":8}"#).expect("valid json");
+        let spec = RunSpec::from_json(&doc).expect("valid spec");
+        assert!(!spec.to_json().render().contains("threads"));
+        let doc =
+            parse(r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"threads":8}}"#)
+                .expect("valid json");
+        let job = JobSpec::from_json(&doc).expect("valid grid");
+        assert!(!job.to_json().render().contains("threads"));
     }
 
     #[test]
@@ -660,7 +667,6 @@ mod tests {
             seed: 9,
             mlp: 1,
             telemetry: false,
-            threads: 1,
         };
         let via_spec = spec.execute().expect("runs");
 
@@ -711,6 +717,7 @@ mod tests {
             r#"{"grid":{"workloads":[],"controllers":["simple"]}}"#,
             r#"{"grid":{"workloads":["ycsb-a"],"controllers":["nope"]}}"#,
             r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"]},"insts":5}"#,
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"threads":"eight"}}"#,
         ] {
             let doc = parse(bad).expect("valid json");
             assert!(JobSpec::from_json(&doc).is_err(), "accepted {bad}");
@@ -733,7 +740,6 @@ mod tests {
             seed: 11,
             mlp: 1,
             telemetry: false,
-            threads: 1,
         }
     }
 

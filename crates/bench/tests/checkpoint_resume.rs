@@ -21,7 +21,6 @@ fn spec_for(controller: &str, seed: u64) -> RunSpec {
         seed,
         mlp: 1,
         telemetry: false,
-        threads: 1,
     }
 }
 

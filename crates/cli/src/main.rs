@@ -72,7 +72,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  baryon-cli list\n  baryon-cli run --workload <name> [--controller <name>] \
          [--insts N] [--warmup N] [--scale D] [--seed S] [--mlp N] [--telemetry true] \
-         [--threads N] [--csv FILE] [--json FILE]\n      \
+         [--csv FILE] [--json FILE]\n      \
          [--checkpoint-every OPS] [--checkpoint-dir DIR] [--checkpoint-keep K]\n  \
          baryon-cli run --resume-from FILE [--csv FILE] [--json FILE]\n  \
          baryon-cli compare --workload <name> [--insts N] [--scale D]\n  \
@@ -180,7 +180,6 @@ fn cmd_run(args: &Args) -> ExitCode {
         seed: args.num("seed", 42),
         mlp: args.num("mlp", 1),
         telemetry: args.bool_flag("telemetry", false),
-        threads: args.num("threads", 1).max(1),
     };
     let every = args.num("checkpoint-every", 0);
     let run = if every > 0 {

@@ -31,7 +31,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"BCKP";
-const VERSION: u8 = 1;
+/// Bumped whenever the serialized `System` state layout changes, so an
+/// older payload is refused at the header instead of misread.
+const VERSION: u8 = 2;
 const HEADER_LEN: usize = 4 + 1 + 8 + 4;
 
 /// Why a checkpoint could not be restored.
@@ -412,12 +414,18 @@ mod tests {
             Checkpoint::from_bytes(&bytes),
             Err(RestoreError::BadMagic(_))
         ));
-        let mut bytes = sample().to_bytes();
-        bytes[4] = 99;
-        assert!(matches!(
-            Checkpoint::from_bytes(&bytes),
-            Err(RestoreError::BadVersion(99))
-        ));
+        // 1 is the previous `System` layout: refused, never misread.
+        for version in [1, 99] {
+            let mut bytes = sample().to_bytes();
+            bytes[4] = version;
+            assert!(
+                matches!(
+                    Checkpoint::from_bytes(&bytes),
+                    Err(RestoreError::BadVersion(v)) if v == version
+                ),
+                "version {version} accepted"
+            );
+        }
     }
 
     #[test]

@@ -99,7 +99,6 @@ fn spec(workload: &str, telemetry: bool) -> RunSpec {
         seed: 42,
         mlp: 1,
         telemetry,
-        threads: 1,
     }
 }
 
@@ -322,7 +321,6 @@ fn fleet_submit_figure() -> Result<(Json, bool), String> {
         seed: 42,
         mlp: 1,
         telemetry: false,
-        threads: 1,
     }
     .to_json()
     .render();

@@ -47,27 +47,15 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread exits");
 }
 
-fn get_field<'a>(doc: &'a Json, key: &str) -> &'a Json {
-    let Json::Obj(pairs) = doc else {
-        panic!("expected an object, got {}", doc.render());
-    };
-    &pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("missing field {key} in {}", doc.render()))
-        .1
-}
-
 fn submit(addr: SocketAddr, body: &str) -> ClientResponse {
     client::request(addr, "POST", "/v1/jobs", Some(body)).expect("submit reachable")
 }
 
 fn job_id(response: &ClientResponse) -> u64 {
     let doc = parse(&response.body).expect("submit response is JSON");
-    match get_field(&doc, "id") {
-        Json::U64(id) => *id,
-        other => panic!("id should be an integer, got {}", other.render()),
-    }
+    doc.get("id")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("id should be an integer: {}", response.body))
 }
 
 /// Polls a job until it leaves the queue/running states.
@@ -78,10 +66,10 @@ fn await_job(addr: SocketAddr, id: u64) -> Json {
             .expect("status reachable");
         assert_eq!(r.status, 200, "{}", r.body);
         let doc = parse(&r.body).expect("status is JSON");
-        let Json::Str(state) = get_field(&doc, "state") else {
+        let Some(state) = doc.get("state").and_then(Json::as_str) else {
             panic!("state should be a string: {}", r.body);
         };
-        match state.as_str() {
+        match state {
             "queued" | "running" => {
                 assert!(Instant::now() < deadline, "job {id} stuck: {}", r.body);
                 std::thread::sleep(Duration::from_millis(10));
@@ -105,8 +93,8 @@ fn served_result_is_byte_identical_to_direct_run() {
     let id = job_id(&accepted);
 
     let status = await_job(addr, id);
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let served = get_field(&status, "result").render();
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    let served = status.get("result").map(Json::render);
 
     // The same spec executed in-process must produce the same bytes.
     let spec = RunSpec {
@@ -118,16 +106,20 @@ fn served_result_is_byte_identical_to_direct_run() {
         seed: 7,
         mlp: 1,
         telemetry: false,
-        threads: 1,
     };
     let direct = spec.execute().expect("spec runs").to_json().render();
-    assert_eq!(served, direct, "served result diverged from direct run");
+    assert_eq!(
+        served,
+        Some(direct),
+        "served result diverged from direct run"
+    );
 
     // Wall time is reported once finished.
-    match get_field(&status, "wall_us") {
-        Json::U64(_) => {}
-        other => panic!("wall_us should be an integer, got {}", other.render()),
-    }
+    assert!(
+        status.get("wall_us").and_then(Json::as_u64).is_some(),
+        "wall_us should be an integer: {}",
+        status.render()
+    );
 
     shutdown(addr, handle);
 }
@@ -166,8 +158,8 @@ fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
     for id in &accepted {
         let status = await_job(addr, *id);
         assert_eq!(
-            get_field(&status, "state"),
-            &Json::from("done"),
+            status.get("state").and_then(Json::as_str),
+            Some("done"),
             "job {id}: {}",
             status.render()
         );
@@ -181,14 +173,14 @@ fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
 
     let metrics = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     let doc = parse(&metrics.body).expect("metrics are JSON");
-    let counters = get_field(&doc, "counters");
+    let counters = doc.get("counters").expect("metrics carry counters");
     assert_eq!(
-        get_field(counters, "serve.jobs.rejected"),
-        &Json::from(rejected as u64)
+        counters.get("serve.jobs.rejected").and_then(Json::as_u64),
+        Some(rejected as u64)
     );
     assert_eq!(
-        get_field(counters, "serve.jobs.done"),
-        &Json::from(accepted.len() as u64)
+        counters.get("serve.jobs.done").and_then(Json::as_u64),
+        Some(accepted.len() as u64)
     );
 
     shutdown(addr, handle);
@@ -216,7 +208,10 @@ fn queued_jobs_can_be_cancelled_and_never_run() {
     let slow_id = job_id(&slow);
     await_job(addr, slow_id);
     let status = await_job(addr, id);
-    assert_eq!(get_field(&status, "state"), &Json::from("cancelled"));
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("cancelled")
+    );
 
     // Cancelling a finished job is a conflict; unknown jobs are 404.
     let r = client::request(addr, "POST", &format!("/v1/jobs/{slow_id}/cancel"), None)
@@ -239,15 +234,21 @@ fn grid_jobs_return_row_major_results() {
     );
     assert_eq!(r.status, 202, "{}", r.body);
     let status = await_job(addr, job_id(&r));
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let Json::Arr(results) = get_field(get_field(&status, "result"), "results") else {
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    let Some(Json::Arr(results)) = status.get("result").and_then(|r| r.get("results")) else {
         panic!("grid result should hold an array: {}", status.render());
     };
     assert_eq!(results.len(), 2);
-    assert_eq!(get_field(&results[0], "controller"), &Json::from("simple"));
-    assert_eq!(get_field(&results[1], "controller"), &Json::from("dice"));
+    assert_eq!(
+        results[0].get("controller").and_then(Json::as_str),
+        Some("simple")
+    );
+    assert_eq!(
+        results[1].get("controller").and_then(Json::as_str),
+        Some("dice")
+    );
     for cell in results {
-        assert_eq!(get_field(cell, "workload"), &Json::from("ycsb-a"));
+        assert_eq!(cell.get("workload").and_then(Json::as_str), Some("ycsb-a"));
     }
 
     shutdown(addr, handle);
@@ -283,8 +284,10 @@ fn protocol_errors_are_typed() {
     assert_eq!(r.status, 200);
     let doc = parse(&r.body).expect("metrics are JSON");
     assert_eq!(
-        get_field(get_field(&doc, "counters"), "serve.workers.total"),
-        &Json::from(1u64)
+        doc.get("counters")
+            .and_then(|c| c.get("serve.workers.total"))
+            .and_then(Json::as_u64),
+        Some(1)
     );
 
     shutdown(addr, handle);
@@ -308,12 +311,12 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     // The oversized job is failed by the watchdog, with a timeout reason.
     let status = await_job(addr, job_id(&stuck));
     assert_eq!(
-        get_field(&status, "state"),
-        &Json::from("failed"),
+        status.get("state").and_then(Json::as_str),
+        Some("failed"),
         "{}",
         status.render()
     );
-    let Json::Str(error) = get_field(&status, "error") else {
+    let Some(error) = status.get("error").and_then(Json::as_str) else {
         panic!("failed job should carry an error: {}", status.render());
     };
     assert!(error.contains("deadline exceeded"), "{error}");
@@ -321,24 +324,30 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     // The worker survived the timeout and completed the queued job.
     let status = await_job(addr, job_id(&quick));
     assert_eq!(
-        get_field(&status, "state"),
-        &Json::from("done"),
+        status.get("state").and_then(Json::as_str),
+        Some("done"),
         "{}",
         status.render()
     );
 
     let metrics = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     let doc = parse(&metrics.body).expect("metrics are JSON");
-    let counters = get_field(&doc, "counters");
+    let counters = doc.get("counters").expect("metrics carry counters");
     assert_eq!(
-        get_field(counters, "serve.jobs.timed_out"),
-        &Json::from(1u64)
+        counters.get("serve.jobs.timed_out").and_then(Json::as_u64),
+        Some(1)
     );
-    assert_eq!(get_field(counters, "serve.jobs.failed"), &Json::from(1u64));
-    assert_eq!(get_field(counters, "serve.jobs.done"), &Json::from(1u64));
     assert_eq!(
-        get_field(counters, "serve.jobs.panicked"),
-        &Json::from(0u64)
+        counters.get("serve.jobs.failed").and_then(Json::as_u64),
+        Some(1)
+    );
+    assert_eq!(
+        counters.get("serve.jobs.done").and_then(Json::as_u64),
+        Some(1)
+    );
+    assert_eq!(
+        counters.get("serve.jobs.panicked").and_then(Json::as_u64),
+        Some(0)
     );
 
     shutdown(addr, handle);
@@ -412,24 +421,24 @@ fn events_stream_delivers_monotonic_progress_then_end() {
     let mut progress_events = 0usize;
     for (i, line) in lines.iter().enumerate() {
         let doc = parse(line).expect("event line is JSON");
-        let Json::Str(event) = get_field(&doc, "event") else {
+        let Some(event) = doc.get("event").and_then(Json::as_str) else {
             panic!("event should be a string: {line}");
         };
-        match event.as_str() {
+        match event {
             "progress" => {
                 progress_events += 1;
-                let Json::U64(ops) = get_field(&doc, "ops") else {
+                let Some(ops) = doc.get("ops").and_then(Json::as_u64) else {
                     panic!("ops should be an integer: {line}");
                 };
                 assert!(
-                    *ops > last_ops,
+                    ops > last_ops,
                     "progress must be strictly monotonic: {ops} after {last_ops}"
                 );
-                last_ops = *ops;
+                last_ops = ops;
             }
             "end" => {
                 assert_eq!(i, lines.len() - 1, "end must be the final event");
-                let Json::Str(state) = get_field(&doc, "state") else {
+                let Some(state) = doc.get("state").and_then(Json::as_str) else {
                     panic!("state should be a string: {line}");
                 };
                 assert_eq!(state, "done", "{line}");
@@ -455,7 +464,7 @@ fn events_stream_delivers_monotonic_progress_then_end() {
         let run = RunSpec::from_json(&doc).expect("valid spec");
         run.execute().expect("runs").to_json().render()
     };
-    assert_eq!(get_field(&status, "result").render(), direct);
+    assert_eq!(status.get("result").map(Json::render), Some(direct));
     shutdown(addr, handle);
 }
 
@@ -480,7 +489,7 @@ fn wire_metrics_reconstruct_the_registry_exactly() {
         .expect("wire metrics reachable");
     assert_eq!(wire_doc.status, 200, "{}", wire_doc.body);
     let doc = parse(&wire_doc.body).expect("wire envelope is JSON");
-    let Json::Str(hex) = get_field(&doc, "wire") else {
+    let Some(hex) = doc.get("wire").and_then(Json::as_str) else {
         panic!("wire should be a hex string: {}", wire_doc.body);
     };
     let bytes = baryon_sim::wire::from_hex(hex).expect("valid hex");

@@ -41,17 +41,6 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread exits");
 }
 
-fn get_field<'a>(doc: &'a Json, key: &str) -> &'a Json {
-    let Json::Obj(pairs) = doc else {
-        panic!("expected an object, got {}", doc.render());
-    };
-    &pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("missing field {key} in {}", doc.render()))
-        .1
-}
-
 fn await_job(addr: SocketAddr, id: u64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
@@ -59,10 +48,10 @@ fn await_job(addr: SocketAddr, id: u64) -> Json {
             .expect("status reachable");
         assert_eq!(r.status, 200, "{}", r.body);
         let doc = parse(&r.body).expect("status is JSON");
-        let Json::Str(state) = get_field(&doc, "state") else {
+        let Some(state) = doc.get("state").and_then(Json::as_str) else {
             panic!("state should be a string: {}", r.body);
         };
-        match state.as_str() {
+        match state {
             "queued" | "running" => {
                 assert!(Instant::now() < deadline, "job {id} stuck: {}", r.body);
                 std::thread::sleep(Duration::from_millis(10));
@@ -82,7 +71,6 @@ fn quick_spec() -> RunSpec {
         seed: 5,
         mlp: 1,
         telemetry: false,
-        threads: 1,
     }
 }
 
@@ -101,8 +89,9 @@ fn finished_jobs_survive_restart() {
     let accepted = submit(addr, &spec_body);
     assert_eq!(accepted.status, 202, "{}", accepted.body);
     let status = await_job(addr, 1);
-    assert_eq!(get_field(&status, "state"), &Json::from("done"));
-    let result = get_field(&status, "result").render();
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    let result = status.get("result").map(Json::render);
+    assert!(result.is_some(), "a done job has a result");
     shutdown(addr, handle);
 
     // Second incarnation, same journal directory.
@@ -110,9 +99,9 @@ fn finished_jobs_survive_restart() {
     let r = client::request(addr, "GET", "/v1/jobs/1", None).expect("status reachable");
     assert_eq!(r.status, 200, "{}", r.body);
     let doc = parse(&r.body).expect("status is JSON");
-    assert_eq!(get_field(&doc, "state"), &Json::from("done"));
+    assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(
-        get_field(&doc, "result").render(),
+        doc.get("result").map(Json::render),
         result,
         "journaled result changed across restart"
     );
@@ -126,8 +115,10 @@ fn finished_jobs_survive_restart() {
 }
 
 /// A job that was accepted but never started (the process died first)
-/// runs to completion on the next boot, and an interrupted run resumes
-/// from its checkpoint to the bit-identical uninterrupted result.
+/// runs to completion on the next boot, an interrupted run resumes from
+/// its checkpoint to the bit-identical uninterrupted result, and a job
+/// settled under a spec carrying the retired `threads` knob comes back
+/// with its journaled result.
 #[test]
 fn unstarted_and_interrupted_jobs_recover() {
     let dir = temp_dir("interrupted");
@@ -135,7 +126,8 @@ fn unstarted_and_interrupted_jobs_recover() {
     let golden = spec.execute().expect("golden run").to_json().render();
 
     // Fake the crashed incarnation's journal: job 1 was accepted and
-    // never started; job 2 was mid-run with a checkpoint on disk.
+    // never started; job 2 was mid-run with a checkpoint on disk; job 3
+    // settled under a spec that still renders `threads`.
     {
         let mut system = spec.build_system().expect("system");
         system.begin(spec.insts);
@@ -154,27 +146,38 @@ fn unstarted_and_interrupted_jobs_recover() {
                 spec_json: spec.to_json().render(),
             },
             JournalEvent::Start { id: 2 },
+            JournalEvent::Submit {
+                id: 3,
+                spec_json: r#"{"workload":"ycsb-a","controller":"simple","insts":3000,"warmup":500,"scale":2048,"seed":5,"mlp":1,"telemetry":false,"threads":8}"#.to_owned(),
+            },
+            JournalEvent::Start { id: 3 },
+            JournalEvent::Finish {
+                id: 3,
+                ok: true,
+                body: golden.clone(),
+            },
         ] {
             journal.append(&event).expect("append");
         }
     }
 
     let (addr, handle) = boot(&dir);
-    for id in [1, 2] {
+    for id in [1, 2, 3] {
         let status = await_job(addr, id);
         assert_eq!(
-            get_field(&status, "state"),
-            &Json::from("done"),
+            status.get("state").and_then(Json::as_str),
+            Some("done"),
             "job {id}: {}",
             status.render()
         );
         assert_eq!(
-            get_field(&status, "result").render(),
-            golden,
+            status.get("result").map(Json::render),
+            Some(golden.clone()),
             "job {id} diverged from the uninterrupted golden"
         );
     }
-    // The metrics document reports the recovery.
+    // The metrics document reports the recovery; the settled job 3 was
+    // not run again.
     let r = client::request(addr, "GET", "/v1/metrics", None).expect("metrics reachable");
     assert!(r.body.contains("\"serve.jobs.recovered\":2"), "{}", r.body);
     // The resumed job's checkpoints were cleaned up on completion.

@@ -53,13 +53,6 @@ cargo test -q -p baryon-core --offline --test chaos_faults
 echo "==> serve kill-and-resume gate"
 cargo run --release -p baryon-serve --bin kill_resume --offline
 
-# Determinism gate: the `threads` knob is a pure host-side throughput
-# lever. Runs with 8 worker threads must be byte-identical to the
-# single-threaded run — full result JSON and non-span telemetry — and a
-# checkpoint cut inside a parallel run must resume to the same bytes.
-echo "==> parallel determinism gate (threads 1 vs 8)"
-cargo test -q -p baryon-bench --release --offline --test parallel_determinism
-
 # Hot-path oracle: every controller on every registry workload must hash
 # to the goldens blessed before the data-oriented refactor. Any
 # behaviour drift in the arena/memo/SoA structures fails here first.
