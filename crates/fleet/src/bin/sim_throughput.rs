@@ -36,10 +36,10 @@
 use baryon_bench::spec::RunSpec;
 use baryon_core::checkpoint::atomic_write;
 use baryon_core::metrics::RunResult;
-use baryon_fleet::coordinator::{Fleet, FleetConfig};
-use baryon_fleet::harness;
+use baryon_fleet::coordinator::FleetConfig;
+use baryon_fleet::harness::{self, LiveFleet};
 use baryon_serve::client::Client;
-use baryon_sim::json::{self, Json};
+use baryon_sim::json::Json;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -225,38 +225,14 @@ fn run_timed_checkpointed(
     ))
 }
 
-/// Submits `spec`, returning the accepted job's ID. Works against a
-/// coordinator and a plain serve process alike.
-fn submit(client: &Client, spec: &str) -> Result<u64, String> {
-    let r = client
-        .request("POST", "/v1/jobs", Some(spec))
-        .map_err(|e| format!("submit: {e}"))?;
-    if r.status != 202 {
-        return Err(format!("submit {}: {}", r.status, r.body));
-    }
-    let doc = json::parse(&r.body).map_err(|e| format!("202 body: {e}"))?;
-    doc.get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "202 body has no id".to_owned())
-}
-
 /// Blocks on job `id`'s event stream until its `end` line, which must
-/// report `done` — completion is pushed, never polled.
-fn await_end(client: &Client, id: u64) -> Result<(), String> {
-    let mut end_state = None;
-    client
-        .stream(&format!("/v1/jobs/{id}/events"), &mut |line| {
-            let Ok(doc) = json::parse(line) else {
-                return;
-            };
-            if doc.get("event").and_then(Json::as_str) == Some("end") {
-                end_state = doc.get("state").and_then(Json::as_str).map(str::to_owned);
-            }
-        })
-        .map_err(|e| format!("job {id} event stream: {e}"))?;
-    match end_state.as_deref() {
-        Some("done") => Ok(()),
-        other => Err(format!("job {id} ended as {other:?}")),
+/// report `done` — completion is pushed, never polled. Works against a
+/// coordinator and a plain serve process alike.
+fn await_done(client: &Client, id: u64) -> Result<(), String> {
+    match client.await_end(id) {
+        Ok(state) if state == "done" => Ok(()),
+        Ok(state) => Err(format!("job {id} ended as {state}")),
+        Err(e) => Err(format!("job {id} event stream: {e}")),
     }
 }
 
@@ -278,21 +254,11 @@ fn p50_p99_ms(mut us: Vec<f64>) -> (f64, f64) {
 ///   journaled `baryon-serve` process (this binary in shard mode), with
 ///   the pass flag for the fleet-p50-within-2×-serve gate.
 fn fleet_submit_figure() -> Result<(Json, bool), String> {
-    let journal_root = std::env::temp_dir().join(format!(
-        "baryon-sim-throughput-fleet-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&journal_root);
     let launcher = harness::self_launcher(2, FLEET_JOBS.max(16))
         .map_err(|e| format!("fleet launcher: {e}"))?;
-    let serve_dir = journal_root.join("direct-serve");
-    std::fs::create_dir_all(&serve_dir).map_err(|e| format!("serve journal: {e}"))?;
-    let (mut serve_child, serve_addr): (_, SocketAddr) = launcher
-        .spawn(&serve_dir, None)
-        .map_err(|e| format!("direct serve spawn: {e}"))?;
-    let fleet = Fleet::bind(
+    let fleet = LiveFleet::boot(
+        "sim-throughput-fleet",
         FleetConfig {
-            port: 0,
             shards: FLEET_SHARDS,
             workers_per_shard: 2,
             shard_queue_depth: FLEET_JOBS.max(16),
@@ -300,14 +266,16 @@ fn fleet_submit_figure() -> Result<(Json, bool), String> {
             // The whole burst comes from one client; admission control is
             // not what this figure measures.
             max_in_flight_per_client: FLEET_JOBS,
-            journal_root: journal_root.clone(),
+            ..FleetConfig::default()
         },
-        launcher,
-    )
-    .map_err(|e| format!("fleet bind: {e}"))?;
-    let addr = fleet.local_addr();
-    let serving = std::thread::spawn(move || fleet.run());
-    let client = Client::new(addr).read_timeout(Duration::from_secs(30));
+        launcher.clone(),
+    )?;
+    let serve_dir = fleet.journal_root.join("direct-serve");
+    std::fs::create_dir_all(&serve_dir).map_err(|e| format!("serve journal: {e}"))?;
+    let (mut serve_child, serve_addr): (_, SocketAddr) = launcher
+        .spawn(&serve_dir, None)
+        .map_err(|e| format!("direct serve spawn: {e}"))?;
+    let client = Client::new(fleet.addr).read_timeout(Duration::from_secs(30));
     let serve_client = Client::new(serve_addr).read_timeout(Duration::from_secs(30));
 
     // Trivial spec: the cheapest meaningful run, so wall time is
@@ -328,31 +296,30 @@ fn fleet_submit_figure() -> Result<(Json, bool), String> {
     let outcome = (|| -> Result<(f64, Vec<f64>, Vec<f64>), String> {
         let t = Instant::now();
         let ids = (0..FLEET_JOBS)
-            .map(|_| submit(&client, &trivial))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|_| client.submit_job(&trivial))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| format!("submit: {e}"))?;
         for id in ids {
-            await_end(&client, id)?;
+            await_done(&client, id)?;
         }
         let burst_us = t.elapsed().as_secs_f64() * 1e6;
         let (mut fleet_us, mut serve_us) = (Vec::new(), Vec::new());
         for _ in 0..LATENCY_JOBS {
             for (target, samples) in [(&client, &mut fleet_us), (&serve_client, &mut serve_us)] {
                 let t = Instant::now();
-                await_end(target, submit(target, &trivial)?)?;
+                let id = target
+                    .submit_job(&trivial)
+                    .map_err(|e| format!("submit: {e}"))?;
+                await_done(target, id)?;
                 samples.push(t.elapsed().as_secs_f64() * 1e6);
             }
         }
         Ok((burst_us, fleet_us, serve_us))
     })();
 
-    let _ = client.request("POST", "/v1/shutdown", None);
     let _ = serve_client.request("POST", "/v1/shutdown", None);
     let _ = serve_child.wait();
-    serving
-        .join()
-        .map_err(|_| "fleet serving thread panicked".to_owned())?
-        .map_err(|e| format!("fleet run: {e}"))?;
-    let _ = std::fs::remove_dir_all(&journal_root);
+    fleet.finish()?;
     let (wall_us, fleet_us, serve_us) = outcome?;
     let jobs_per_sec = FLEET_JOBS as f64 / (wall_us / 1e6);
     let (fleet_p50, fleet_p99) = p50_p99_ms(fleet_us);

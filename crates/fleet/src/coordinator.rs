@@ -192,19 +192,22 @@ impl FleetShared {
     /// client's quota slot, bumps completion counters, and nudges event
     /// streams via the progress board.
     fn apply_update(&self, id: u64, apply: impl FnOnce(&mut FleetJob)) {
-        let Some((client, _class)) = self.board.update(id, apply) else {
+        let Some((client, _class, state)) = self.board.update(id, apply) else {
             return;
         };
-        self.settle_bookkeeping(id, &client);
+        self.settle_bookkeeping(id, &client, state);
     }
 
     /// The post-settle tail shared by [`FleetShared::apply_update`] and
     /// staged-result resolution: release the quota slot, bump the
-    /// completion counter, and wake event streams.
-    fn settle_bookkeeping(&self, id: u64, client: &str) {
+    /// completion counter, wake event streams, and drop the job's
+    /// progress entry (streams emit `end` from the board from here on).
+    /// `state` is the one the job settled in: the board may already have
+    /// evicted the record by the time this runs.
+    fn settle_bookkeeping(&self, id: u64, client: &str, state: JobState) {
         self.quotas.release(client);
-        match self.board.state(id) {
-            Some(JobState::Done) => {
+        match state {
+            JobState::Done => {
                 self.metrics.done.fetch_add(1, Ordering::Relaxed);
             }
             _ => {
@@ -222,6 +225,7 @@ impl FleetShared {
                 jp.ops = done.max(jp.ops);
             });
         }
+        self.progress.remove(id);
     }
 
     /// Validates the CRC frame every shard stamps on its replies
@@ -1275,8 +1279,8 @@ fn resolve_staged_results(shared: &Arc<FleetShared>, accept: bool) {
     // settles directly instead of staging forever.
     shared.rolling_to.store(0, Ordering::SeqCst);
     let resolution = shared.board.resolve_staged(accept);
-    for (id, client, _class) in &resolution.released {
-        shared.settle_bookkeeping(*id, client);
+    for (id, client, _class, state) in &resolution.released {
+        shared.settle_bookkeeping(*id, client, *state);
     }
     if !accept && resolution.count > 0 {
         shared
@@ -1613,5 +1617,67 @@ mod tests {
         assert!(cfg.shards > 0);
         assert!(cfg.queue_cap >= cfg.shard_queue_depth);
         assert!(cfg.max_in_flight_per_client > 0);
+    }
+
+    /// Coordinator state over one stand-in shard process that announces
+    /// an address and idles (nothing here talks to it; dropping the
+    /// state kills it).
+    fn idle_shared(root: &Path) -> FleetShared {
+        let launcher = ShardLauncher {
+            program: PathBuf::from("/bin/sh"),
+            prefix_args: vec![
+                "-c".to_owned(),
+                "echo ADDR 127.0.0.1:9; exec sleep 60".to_owned(),
+                "idle-shard".to_owned(),
+            ],
+            workers: 1,
+            queue_depth: 1,
+            policy_path: None,
+            extra_env: Vec::new(),
+        };
+        let config_dir = root.join("config");
+        std::fs::create_dir_all(&config_dir).expect("config dir");
+        FleetShared {
+            board: JobBoard::new(),
+            queue: QosQueue::new(4),
+            quotas: ClientQuotas::new(4),
+            shards: ShardSet::spawn(launcher, root, 1).expect("stand-in shard"),
+            progress: ProgressBoard::new(),
+            metrics: FleetMetrics::default(),
+            shutdown: AtomicBool::new(false),
+            addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 9)),
+            config: Mutex::new(load_slot_machine(&config_dir)),
+            config_dir,
+            rollout: Mutex::new(()),
+            rolling_to: AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn a_settled_job_leaves_no_progress_entry() {
+        let root =
+            std::env::temp_dir().join(format!("baryon-coordinator-settle-{}", std::process::id()));
+        let shared = idle_shared(&root);
+        let id = shared.board.admit(
+            JobSpec::Run(baryon_bench::spec::RunSpec::default()),
+            "c".into(),
+            Class::Interactive,
+            FleetJobKind::Single {
+                shard: 0,
+                cell: CellState::Pending,
+            },
+        );
+        // A watcher relayed the run's progress while it was in flight.
+        shared.progress.publish(id, |jp| jp.ops = 5);
+        shared.apply_update(id, |job| {
+            *job.cell_mut(None).expect("cell") = CellState::Done(Json::Null);
+        });
+        assert_eq!(shared.board.state(id), Some(JobState::Done));
+        assert!(
+            shared.progress.get(id).is_none(),
+            "the settled job's progress entry outlived it"
+        );
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

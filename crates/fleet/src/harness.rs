@@ -1,17 +1,238 @@
-//! Self-forking harness support for fleet binaries.
+//! Self-forking harness support for fleet binaries and tests.
 //!
-//! The fleet's CI gates and benches are hermetic single binaries: the
+//! The fleet's CI gate and benches are hermetic single binaries: the
 //! same executable acts as the coordinator's parent process *and* — when
 //! re-invoked with `--shard` — as a worker shard speaking the
 //! [`crate::shard::ShardLauncher`] spawn contract (`--port=0
 //! --workers=N --queue-depth=N --journal-dir=DIR`, then `ADDR <addr>` on
 //! stdout). No pre-built `baryon-cli`, fixed ports, or startup sleeps.
+//!
+//! [`LiveFleet`] is the one way those binaries and the integration tests
+//! boot a coordinator: on an ephemeral port, serving from a background
+//! thread over a fresh journal root, torn down by [`LiveFleet::finish`]
+//! (or, on an error path, by `Drop`).
 
+use crate::coordinator::{Fleet, FleetConfig, FleetController};
 use crate::shard::ShardLauncher;
+use baryon_serve::client::Client;
 use baryon_serve::{ServeConfig, Server};
+use baryon_sim::json::{self, Json};
 use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How often [`LiveFleet::await_status`] re-reads a job's status.
+const POLL: Duration = Duration::from_millis(10);
+
+/// A coordinator serving on an ephemeral loopback port from a background
+/// thread, over its own journal root.
+pub struct LiveFleet {
+    /// The coordinator's address.
+    pub addr: SocketAddr,
+    /// Chaos and inspection handle onto the running fleet.
+    pub controller: FleetController,
+    /// The fleet's journal root (`<root>/shard<i>/`, `<root>/config/`).
+    pub journal_root: PathBuf,
+    read_timeout: Duration,
+    deadline: Duration,
+    serving: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl LiveFleet {
+    /// Boots `config` (its port forced to 0, its journal root to a fresh
+    /// `baryon-<tag>-<pid>-<thread>` directory under the system temp dir,
+    /// cleared first) over shards spawned by `launcher`, and runs it on a
+    /// background thread. Clients get a 60 s read timeout and
+    /// [`LiveFleet::await_status`] a 180 s deadline until
+    /// [`LiveFleet::patience`] says otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The [`Fleet::bind`] failure, described.
+    pub fn boot(
+        tag: &str,
+        config: FleetConfig,
+        launcher: ShardLauncher,
+    ) -> Result<LiveFleet, String> {
+        let journal_root = std::env::temp_dir().join(format!(
+            "baryon-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&journal_root);
+        let config = FleetConfig {
+            port: 0,
+            journal_root: journal_root.clone(),
+            ..config
+        };
+        let fleet = Fleet::bind(config, launcher).map_err(|e| format!("fleet bind: {e}"))?;
+        let addr = fleet.local_addr();
+        let controller = fleet.controller();
+        let serving = std::thread::spawn(move || fleet.run());
+        Ok(LiveFleet {
+            addr,
+            controller,
+            journal_root,
+            read_timeout: Duration::from_secs(60),
+            deadline: Duration::from_secs(180),
+            serving: Some(serving),
+        })
+    }
+
+    /// Sets the clients' read timeout and how long
+    /// [`LiveFleet::await_status`] waits before giving up.
+    #[must_use]
+    pub fn patience(mut self, read_timeout: Duration, deadline: Duration) -> LiveFleet {
+        self.read_timeout = read_timeout;
+        self.deadline = deadline;
+        self
+    }
+
+    /// A client for the coordinator.
+    pub fn client(&self) -> Client {
+        Client::new(self.addr).read_timeout(self.read_timeout)
+    }
+
+    /// The raw `GET /v1/metrics` document.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and non-200 answers, described.
+    pub fn metrics(&self) -> Result<String, String> {
+        let r = self
+            .client()
+            .request("GET", "/v1/metrics", None)
+            .map_err(|e| format!("metrics: {e}"))?;
+        if r.status != 200 {
+            return Err(format!("metrics {}: {}", r.status, r.body));
+        }
+        Ok(r.body)
+    }
+
+    /// One counter from `/v1/metrics` — 0 when it has not fired yet, or
+    /// when its namespace is gone (a quarantined shard's disappears from
+    /// the scrape).
+    ///
+    /// # Errors
+    ///
+    /// As for [`LiveFleet::metrics`], plus a non-JSON document.
+    pub fn counter(&self, key: &str) -> Result<u64, String> {
+        let body = self.metrics()?;
+        let doc = json::parse(&body).map_err(|e| format!("metrics not JSON ({e}): {body}"))?;
+        let counters = doc.get("counters").unwrap_or(&doc);
+        Ok(counters.get(key).and_then(Json::as_u64).unwrap_or(0))
+    }
+
+    /// Polls fleet job `id` until `predicate` holds on its status document
+    /// and returns that document.
+    ///
+    /// # Errors
+    ///
+    /// A transport failure, a non-200 status, the job failing while it
+    /// was awaited for `what`, or the deadline passing.
+    pub fn await_status(
+        &self,
+        id: u64,
+        what: &str,
+        predicate: impl Fn(&Json) -> bool,
+    ) -> Result<Json, String> {
+        let deadline = Instant::now() + self.deadline;
+        loop {
+            let r = self
+                .client()
+                .request("GET", &format!("/v1/jobs/{id}"), None)
+                .map_err(|e| format!("job status: {e}"))?;
+            if r.status != 200 {
+                return Err(format!("job status {}: {}", r.status, r.body));
+            }
+            let doc =
+                json::parse(&r.body).map_err(|e| format!("status not JSON ({e}): {}", r.body))?;
+            if predicate(&doc) {
+                return Ok(doc);
+            }
+            if let Some("failed") = doc.get("state").and_then(Json::as_str) {
+                return Err(format!("job failed while waiting for {what}: {}", r.body));
+            }
+            if Instant::now() > deadline {
+                return Err(format!("timed out waiting for {what}: {}", r.body));
+            }
+            std::thread::sleep(POLL);
+        }
+    }
+
+    /// Awaits job `id` in state `done` and returns its result document.
+    ///
+    /// # Errors
+    ///
+    /// As for [`LiveFleet::await_status`], plus a done job without a
+    /// result.
+    pub fn await_result(&self, id: u64, what: &str) -> Result<Json, String> {
+        let status = self.await_status(id, &format!("{what} completion"), |doc| {
+            doc.get("state").and_then(Json::as_str) == Some("done")
+        })?;
+        status
+            .get("result")
+            .cloned()
+            .ok_or_else(|| format!("{what}: done without result"))
+    }
+
+    /// Awaits job `id` done and checks its result renders exactly as
+    /// `golden` (the in-process run of the same spec).
+    ///
+    /// # Errors
+    ///
+    /// As for [`LiveFleet::await_result`], plus any byte of divergence.
+    pub fn await_identical(&self, id: u64, golden: &str, what: &str) -> Result<(), String> {
+        let result = self.await_result(id, what)?.render();
+        if result != golden {
+            return Err(format!(
+                "{what} diverged from the single-process run\n  golden: {golden}\n  fleet:  {result}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Shuts the fleet down (`POST /v1/shutdown` must answer 200), joins
+    /// the serving thread, and removes the journal root.
+    ///
+    /// # Errors
+    ///
+    /// The shutdown answer, a panicked or failed `Fleet::run`, or the
+    /// cleanup failure.
+    pub fn finish(mut self) -> Result<(), String> {
+        let r = self
+            .client()
+            .request("POST", "/v1/shutdown", None)
+            .map_err(|e| format!("shutdown: {e}"))?;
+        if r.status != 200 {
+            return Err(format!("shutdown {}: {}", r.status, r.body));
+        }
+        if let Some(serving) = self.serving.take() {
+            serving
+                .join()
+                .map_err(|_| "fleet serving thread panicked".to_owned())?
+                .map_err(|e| format!("fleet run: {e}"))?;
+        }
+        std::fs::remove_dir_all(&self.journal_root)
+            .map_err(|e| format!("cleanup {}: {e}", self.journal_root.display()))
+    }
+}
+
+impl Drop for LiveFleet {
+    /// The error path: best-effort shutdown, join, and cleanup.
+    fn drop(&mut self) {
+        if let Some(serving) = self.serving.take() {
+            let _ = Client::new(self.addr)
+                .read_timeout(Duration::from_secs(10))
+                .request("POST", "/v1/shutdown", None);
+            let _ = serving.join();
+        }
+        let _ = std::fs::remove_dir_all(&self.journal_root);
+    }
+}
 
 /// When invoked as `<exe> --shard --port=... --workers=... ...`, runs a
 /// `baryon-serve` shard to completion and returns its exit code; returns

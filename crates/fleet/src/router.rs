@@ -16,7 +16,7 @@ use baryon_bench::batch::BatchPlan;
 use baryon_bench::spec::JobSpec;
 use baryon_serve::job::JobState;
 use baryon_sim::json::Json;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -170,8 +170,8 @@ impl FleetJob {
 /// What [`JobBoard::resolve_staged`] did, for the caller to act on.
 pub struct StagedResolution {
     /// Jobs an accept settled, with the quota slot to release exactly
-    /// once per entry.
-    pub released: Vec<(u64, String, Class)>,
+    /// once per entry and the state each settled in.
+    pub released: Vec<(u64, String, Class, JobState)>,
     /// Cells a reject returned to `Pending`; the caller must requeue each
     /// (`None` cell index means a single run).
     pub requeue: Vec<(u64, Option<usize>)>,
@@ -180,11 +180,37 @@ pub struct StagedResolution {
     pub count: u64,
 }
 
+/// How many settled jobs the board keeps for `GET /v1/jobs/<id>` (serve's
+/// default `finished_cap`): past it, the oldest settled job is evicted.
+/// Queued and running jobs are never evicted.
+const SETTLED_RETAINED: usize = 256;
+
+/// The board's records plus the settled ones' eviction order.
+#[derive(Default)]
+struct Jobs {
+    map: HashMap<u64, FleetJob>,
+    /// Settled job IDs, oldest settle first.
+    settled: VecDeque<u64>,
+}
+
+impl Jobs {
+    /// Records that `id` just settled, evicting the oldest settled jobs
+    /// beyond [`SETTLED_RETAINED`].
+    fn retire(&mut self, id: u64) {
+        self.settled.push_back(id);
+        while self.settled.len() > SETTLED_RETAINED {
+            if let Some(old) = self.settled.pop_front() {
+                self.map.remove(&old);
+            }
+        }
+    }
+}
+
 /// The coordinator's fleet-wide job table.
 #[derive(Default)]
 pub struct JobBoard {
     next_id: AtomicU64,
-    jobs: Mutex<HashMap<u64, FleetJob>>,
+    jobs: Mutex<Jobs>,
 }
 
 impl JobBoard {
@@ -192,7 +218,7 @@ impl JobBoard {
     pub fn new() -> JobBoard {
         JobBoard {
             next_id: AtomicU64::new(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::default(),
         }
     }
 
@@ -209,56 +235,54 @@ impl JobBoard {
             error: None,
             kind,
         };
-        self.jobs
-            .lock()
-            .expect("job board lock poisoned")
-            .insert(id, job);
+        self.lock().map.insert(id, job);
         id
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Jobs> {
+        self.jobs.lock().expect("job board lock poisoned")
     }
 
     /// Removes a job the coordinator decided not to keep (queue overflow
     /// after admit), returning its record.
     pub fn forget(&self, id: u64) -> Option<FleetJob> {
-        self.jobs
-            .lock()
-            .expect("job board lock poisoned")
-            .remove(&id)
+        self.lock().map.remove(&id)
     }
 
-    /// A clone of the job's record.
+    /// A clone of the job's record (`None` once evicted).
     pub fn get(&self, id: u64) -> Option<FleetJob> {
-        self.jobs
-            .lock()
-            .expect("job board lock poisoned")
-            .get(&id)
-            .cloned()
+        self.lock().map.get(&id).cloned()
     }
 
     /// The job's lifecycle state.
     pub fn state(&self, id: u64) -> Option<JobState> {
-        self.jobs
-            .lock()
-            .expect("job board lock poisoned")
-            .get(&id)
-            .map(|j| j.state)
+        self.lock().map.get(&id).map(|j| j.state)
     }
 
     /// Runs `apply` on the job's record under the board lock, then
     /// derives the job-level state from its cells: any failed cell fails
     /// the job (first failure wins), all-done completes it (a batch runs
     /// its gather here), any non-pending cell marks it running. Returns
-    /// the `(client, class)` pair when this call settled the job — the
-    /// caller must release that quota slot exactly once.
-    pub fn update(&self, id: u64, apply: impl FnOnce(&mut FleetJob)) -> Option<(String, Class)> {
-        let mut jobs = self.jobs.lock().expect("job board lock poisoned");
-        let job = jobs.get_mut(&id)?;
+    /// the `(client, class, state)` triple when this call settled the job
+    /// — the caller must release that quota slot exactly once, and reads
+    /// the outcome from here because the record itself may be evicted
+    /// before the caller looks it up again.
+    pub fn update(
+        &self,
+        id: u64,
+        apply: impl FnOnce(&mut FleetJob),
+    ) -> Option<(String, Class, JobState)> {
+        let mut jobs = self.lock();
+        let job = jobs.map.get_mut(&id)?;
         if job.state.is_settled() {
             return None; // late updates cannot reopen a settled job
         }
         apply(job);
         if job.state.is_settled() {
             // `apply` settled it directly (e.g. cancel).
-            return Some((job.client.clone(), job.class));
+            let settled = (job.client.clone(), job.class, job.state);
+            jobs.retire(id);
+            return Some(settled);
         }
         let cells = job.cells();
         let settled = if let Some(CellState::Failed(e)) =
@@ -302,21 +326,24 @@ impl JobBoard {
                 *doc = Json::Null;
             }
         }
-        Some((job.client.clone(), job.class))
+        let settled = (job.client.clone(), job.class, job.state);
+        jobs.retire(id);
+        Some(settled)
     }
 
     /// Cancels a still-queued job (no cell dispatched yet). Mirrors the
     /// serve layer: running or settled jobs answer `TooLate`.
     pub fn cancel(&self, id: u64) -> baryon_serve::job::CancelOutcome {
         use baryon_serve::job::CancelOutcome;
-        let mut jobs = self.jobs.lock().expect("job board lock poisoned");
-        let Some(job) = jobs.get_mut(&id) else {
+        let mut jobs = self.lock();
+        let Some(job) = jobs.map.get_mut(&id) else {
             return CancelOutcome::NotFound;
         };
         if job.state != JobState::Queued {
             return CancelOutcome::TooLate(job.state);
         }
         job.state = JobState::Cancelled;
+        jobs.retire(id);
         CancelOutcome::Cancelled
     }
 
@@ -329,13 +356,13 @@ impl JobBoard {
     /// committed — and returns the cells to `Pending` for re-dispatch
     /// under the restored config.
     pub fn resolve_staged(&self, accept: bool) -> StagedResolution {
-        let ids: Vec<u64> = {
-            let jobs = self.jobs.lock().expect("job board lock poisoned");
-            jobs.values()
-                .filter(|j| !j.state.is_settled() && j.has_staged())
-                .map(|j| j.id)
-                .collect()
-        };
+        let ids: Vec<u64> = self
+            .lock()
+            .map
+            .values()
+            .filter(|j| !j.state.is_settled() && j.has_staged())
+            .map(|j| j.id)
+            .collect();
         let mut out = StagedResolution {
             released: Vec::new(),
             requeue: Vec::new(),
@@ -361,7 +388,7 @@ impl JobBoard {
             out.count += touched.len() as u64;
             if accept {
                 out.released
-                    .extend(released.map(|(client, class)| (id, client, class)));
+                    .extend(released.map(|(client, class, state)| (id, client, class, state)));
             } else {
                 out.requeue.extend(touched.into_iter().map(|c| (id, c)));
             }
@@ -371,9 +398,8 @@ impl JobBoard {
 
     /// Snapshot of every unsettled job's ID.
     pub fn active_ids(&self) -> Vec<u64> {
-        self.jobs
-            .lock()
-            .expect("job board lock poisoned")
+        self.lock()
+            .map
             .values()
             .filter(|j| !j.state.is_settled())
             .map(|j| j.id)
@@ -433,7 +459,10 @@ mod tests {
             *j.cell_mut(None).expect("cell") =
                 CellState::Done(Json::obj([("ok", Json::Bool(true))]));
         });
-        assert_eq!(settled, Some(("alice".into(), Class::Interactive)));
+        assert_eq!(
+            settled,
+            Some(("alice".into(), Class::Interactive, JobState::Done))
+        );
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
         assert!(job.result.is_some());
@@ -477,7 +506,7 @@ mod tests {
         let settled = board.update(id, |j| {
             *j.cell_mut(Some(n - 1)).expect("cell") = CellState::Done(Json::from((n - 1) as u64));
         });
-        assert_eq!(settled, Some(("bob".into(), Class::Batch)));
+        assert_eq!(settled, Some(("bob".into(), Class::Batch, JobState::Done)));
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
         // The gathered result is the only copy kept: per-cell documents
@@ -501,7 +530,10 @@ mod tests {
         let settled = board.update(id2, |j| {
             *j.cell_mut(Some(0)).expect("cell") = CellState::Failed("no such workload".into());
         });
-        assert_eq!(settled, Some(("bob".into(), Class::Batch)));
+        assert_eq!(
+            settled,
+            Some(("bob".into(), Class::Batch, JobState::Failed))
+        );
         let job = board.get(id2).expect("job");
         assert_eq!(job.state, JobState::Failed);
         assert_eq!(job.error.as_deref(), Some("no such workload"));
@@ -536,7 +568,10 @@ mod tests {
         // gathers exactly as if the cell had settled directly.
         let resolution = board.resolve_staged(true);
         assert_eq!(resolution.count, 1);
-        assert_eq!(resolution.released, vec![(id, "dana".into(), Class::Batch)]);
+        assert_eq!(
+            resolution.released,
+            vec![(id, "dana".into(), Class::Batch, JobState::Done)]
+        );
         assert!(resolution.requeue.is_empty());
         let job = board.get(id).expect("job");
         assert_eq!(job.state, JobState::Done);
@@ -636,5 +671,50 @@ mod tests {
         assert_eq!(board.active_ids(), vec![b]);
         board.forget(b);
         assert!(board.active_ids().is_empty());
+    }
+
+    #[test]
+    fn settled_jobs_past_the_retention_are_evicted_oldest_first() {
+        let board = JobBoard::new();
+        let admit = || {
+            board.admit(
+                JobSpec::Run(RunSpec::default()),
+                "x".into(),
+                Class::Batch,
+                single_kind(),
+            )
+        };
+        let queued = admit();
+        let running = admit();
+        board.update(running, |j| {
+            *j.cell_mut(None).expect("cell") = CellState::Dispatched {
+                shard: 0,
+                remote: 1,
+            };
+        });
+        let settled: Vec<u64> = (0..300)
+            .map(|_| {
+                let id = admit();
+                board.update(id, |j| {
+                    *j.cell_mut(None).expect("cell") = CellState::Done(Json::Null);
+                });
+                id
+            })
+            .collect();
+        let evicted = settled.len() - SETTLED_RETAINED;
+        assert_eq!(evicted, 44);
+        for id in &settled[..evicted] {
+            assert!(board.get(*id).is_none(), "job {id} should be evicted");
+        }
+        for id in &settled[evicted..] {
+            assert_eq!(board.state(*id), Some(JobState::Done), "job {id}");
+        }
+        // Live jobs are never evicted, however many settle around them.
+        assert_eq!(board.state(queued), Some(JobState::Queued));
+        assert_eq!(board.state(running), Some(JobState::Running));
+        // A cancel settles too, and pushes out the next-oldest.
+        assert_eq!(board.cancel(queued), CancelOutcome::Cancelled);
+        assert!(board.get(settled[evicted]).is_none());
+        assert_eq!(board.state(queued), Some(JobState::Cancelled));
     }
 }

@@ -8,7 +8,6 @@ mod common;
 
 use baryon_serve::client::Client;
 use baryon_sim::json::{self, Json};
-use common::{await_end, body_id, Harness};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -69,6 +68,14 @@ fn raw_request(
     )
 }
 
+/// The `id` of a `202` submit answer.
+fn body_id(body: &str) -> u64 {
+    json::parse(body)
+        .ok()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+        .unwrap_or_else(|| panic!("no id in {body}"))
+}
+
 fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
     headers
         .iter()
@@ -80,7 +87,7 @@ const RUN: &str = r#"{"workload":"ycsb-a","controller":"simple","insts":20000,"w
 
 #[test]
 fn quota_releases_when_a_disconnected_clients_job_settles() {
-    let h = Harness::boot("disconnect", 16, 1);
+    let h = common::boot("disconnect", 16, 1);
     // Pause the only shard so the first job deterministically stays in
     // flight (queued, requeueing) while we probe the quota.
     h.controller.pause_shard(0);
@@ -121,7 +128,7 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     // Let the fleet run the ghost's job to completion; the ghost never
     // reconnects to claim it.
     h.controller.unpause_shard(0);
-    assert_eq!(await_end(h.addr, id), "done");
+    assert_eq!(h.client().await_end(id).expect("event stream"), "done");
     // The slot came back without any client-side action.
     let (status, _, body) = raw_request(
         h.addr,
@@ -132,12 +139,15 @@ fn quota_releases_when_a_disconnected_clients_job_settles() {
     );
     assert_eq!(status, 202, "quota released on settle: {body}");
     let released = body_id(&body);
-    assert_eq!(await_end(h.addr, released), "done");
+    assert_eq!(
+        h.client().await_end(released).expect("event stream"),
+        "done"
+    );
 }
 
 #[test]
 fn quota_beats_queue_full_and_retry_after_matches_class() {
-    let h = Harness::boot("retry-after", 2, 2);
+    let h = common::boot("retry-after", 2, 2);
     h.controller.pause_shard(0);
     // Client "q" fills its own quota (2 in flight).
     let mut ids = Vec::new();
@@ -212,7 +222,7 @@ fn quota_beats_queue_full_and_retry_after_matches_class() {
     // Drain everything so shutdown is clean.
     h.controller.unpause_shard(0);
     for id in ids {
-        assert_eq!(await_end(h.addr, id), "done");
+        assert_eq!(h.client().await_end(id).expect("event stream"), "done");
     }
 }
 
@@ -236,7 +246,7 @@ fn shard_job_seed(shard: SocketAddr, remote: u64) -> u64 {
 
 #[test]
 fn interactive_stays_live_under_saturating_batch_load() {
-    let h = Harness::boot("starvation", 256, 64);
+    let h = common::boot("starvation", 256, 64);
     // Hold the single one-worker shard so a standing batch backlog
     // (several grids, 8 cells) queues at the coordinator ahead of the
     // interactive job.
@@ -265,9 +275,12 @@ fn interactive_stays_live_under_saturating_batch_load() {
     assert_eq!(status, 202, "{body}");
     let interactive = body_id(&body);
     h.controller.unpause_shard(0);
-    assert_eq!(await_end(h.addr, interactive), "done");
+    assert_eq!(
+        h.client().await_end(interactive).expect("event stream"),
+        "done"
+    );
     for id in &batch_ids {
-        assert_eq!(await_end(h.addr, *id), "done");
+        assert_eq!(h.client().await_end(*id).expect("event stream"), "done");
     }
     // Order, not wall time: the shard numbers jobs as they arrive. Cells
     // for a paused shard stay queued in place, so once it resumes the

@@ -108,40 +108,23 @@ fn get(addr: SocketAddr, path: &str) -> Result<client::ClientResponse, String> {
     client::request(addr, "GET", path, None).map_err(|e| format!("GET {path}: {e}"))
 }
 
-/// Polls job 1 until it leaves `queued`/`running`, then requires `done`
-/// and returns the full status body.
-fn await_done(addr: SocketAddr) -> Result<String, String> {
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let r = get(addr, "/v1/jobs/1")?;
-        if r.status != 200 {
-            return Err(format!("job status {}: {}", r.status, r.body));
-        }
-        if r.body.contains("\"state\":\"queued\"") || r.body.contains("\"state\":\"running\"") {
-            if Instant::now() > deadline {
-                return Err(format!("job stuck: {}", r.body));
-            }
-            std::thread::sleep(POLL);
-            continue;
-        }
-        if !r.body.contains("\"state\":\"done\"") {
-            return Err(format!("job did not finish cleanly: {}", r.body));
-        }
-        return Ok(r.body);
+/// Follows job 1's event stream to its end, requires `done`, and returns
+/// its rendered result document.
+fn await_result(addr: SocketAddr) -> Result<String, String> {
+    let end = client::Client::new(addr)
+        .await_end(1)
+        .map_err(|e| format!("job 1 event stream: {e}"))?;
+    let r = get(addr, "/v1/jobs/1")?;
+    if r.status != 200 || end != "done" {
+        return Err(format!(
+            "job did not finish cleanly ({end}, status {}): {}",
+            r.status, r.body
+        ));
     }
-}
-
-/// Extracts the rendered `"result"` object from a job-status body.
-fn result_of(status_body: &str) -> Result<String, String> {
-    let doc = parse(status_body).map_err(|e| format!("status is not JSON ({e}): {status_body}"))?;
-    let Json::Obj(pairs) = doc else {
-        return Err(format!("status is not an object: {status_body}"));
-    };
-    pairs
-        .into_iter()
-        .find(|(k, _)| k == "result")
-        .map(|(_, v)| v.render())
-        .ok_or_else(|| format!("no result in {status_body}"))
+    parse(&r.body)
+        .ok()
+        .and_then(|doc| doc.get("result").map(Json::render))
+        .ok_or_else(|| format!("no result in {}", r.body))
 }
 
 fn run_gate() -> Result<(), String> {
@@ -157,11 +140,9 @@ fn run_gate() -> Result<(), String> {
 
     // First incarnation: submit, wait for a checkpoint, kill -9.
     let (mut child, addr) = spawn_server(&dir)?;
-    let accepted = client::request(addr, "POST", "/v1/jobs", Some(&spec.to_json().render()))
+    client::Client::new(addr)
+        .submit_job(&spec.to_json().render())
         .map_err(|e| format!("submit: {e}"))?;
-    if accepted.status != 202 {
-        return Err(format!("submit {}: {}", accepted.status, accepted.body));
-    }
     let ckpt_dir = dir.join("ckpt-1");
     let deadline = Instant::now() + DEADLINE;
     loop {
@@ -194,8 +175,7 @@ fn run_gate() -> Result<(), String> {
     // resume, and land on the golden result.
     let (mut child, addr) = spawn_server(&dir)?;
     let outcome = (|| {
-        let status = await_done(addr)?;
-        let recovered = result_of(&status)?;
+        let recovered = await_result(addr)?;
         if recovered != golden {
             return Err(format!(
                 "recovered result diverged from the uninterrupted run\n  golden:    {golden}\n  recovered: {recovered}"

@@ -16,6 +16,7 @@
 
 use crate::error::{ApiError, ErrorCode};
 use baryon_compress::crc::crc32;
+use baryon_sim::json::{self, Json};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -215,6 +216,59 @@ impl Client {
         self.request("GET", "/v1/healthz", None)?
             .into_result()
             .map(|_| ())
+    }
+
+    /// `POST /v1/jobs` (serve and the fleet alike) — returns the accepted
+    /// job's ID.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ClientError`]; refusals decode into [`ClientError::Api`], an
+    /// answer other than `202` or without an `id` is [`ClientError::Io`].
+    pub fn submit_job(&self, spec_json: &str) -> Result<u64, ClientError> {
+        let accepted = self
+            .request("POST", "/v1/jobs", Some(spec_json))?
+            .into_result()?;
+        json::parse(&accepted.body)
+            .ok()
+            .filter(|_| accepted.status == 202)
+            .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+            .ok_or_else(|| {
+                let (status, body) = (accepted.status, &accepted.body);
+                ClientError::Io(malformed(&format!(
+                    "submit wants 202 and an id: {status} {body}"
+                )))
+            })
+    }
+
+    /// Follows `GET /v1/jobs/<id>/events` to its `end` line and returns
+    /// the final state it carries (`done`, `failed`, `cancelled`,
+    /// `evicted`).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::stream`]; an event line that is not JSON is
+    /// [`ClientError::Io`], and a stream that closes without an `end` line
+    /// is [`ClientError::Interrupted`].
+    pub fn await_end(&self, id: u64) -> Result<String, ClientError> {
+        let mut end = Ok(None);
+        self.stream(
+            &format!("/v1/jobs/{id}/events"),
+            &mut |line| match json::parse(line) {
+                _ if end.is_err() => {}
+                Ok(doc) if doc.get("event").and_then(Json::as_str) == Some("end") => {
+                    end = Ok(doc.get("state").and_then(Json::as_str).map(str::to_owned));
+                }
+                Ok(_) => {}
+                Err(_) => end = Err(malformed(&format!("job {id} event is not JSON: {line:?}"))),
+            },
+        )?;
+        end.map_err(ClientError::Io)?.ok_or_else(|| {
+            ClientError::Interrupted(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("job {id} event stream closed without an end line"),
+            ))
+        })
     }
 
     /// `GET /v1/admin/config` — the coordinator's slot-machine state
@@ -798,6 +852,22 @@ mod tests {
             .stream("/v1/jobs/1/events", &mut |line| lines.push(line.to_owned()))
             .expect("stream completes");
         assert_eq!(lines, ["a", "bc"]);
+    }
+
+    #[test]
+    fn submit_job_wants_exactly_202_and_await_end_wants_json_lines() {
+        let addr = canned_server(&[
+            "HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n{\"id\":1}",
+            "HTTP/1.1 202 Accepted\r\nContent-Length: 8\r\n\r\n{\"id\":1}",
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+             4\r\nnope\r\n1\r\n\n\r\n0\r\n\r\n",
+        ]);
+        let client = Client::new(addr);
+        let not_202 = client.submit_job("");
+        assert!(matches!(not_202, Err(ClientError::Io(_))), "{not_202:?}");
+        assert_eq!(client.submit_job("").expect("202 carries the id"), 1);
+        let garbled = client.await_end(1);
+        assert!(matches!(garbled, Err(ClientError::Io(_))), "{garbled:?}");
     }
 
     #[test]

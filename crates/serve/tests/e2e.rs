@@ -9,73 +9,20 @@
 //! * lifecycle: status polling, cancellation of queued jobs, metrics.
 
 use baryon_bench::spec::RunSpec;
-use baryon_serve::client::{self, ClientResponse};
-use baryon_serve::{ServeConfig, Server};
+use baryon_serve::client::{self, Client, ClientError};
+use baryon_serve::{ErrorCode, ServeConfig};
 use baryon_sim::json::{parse, Json};
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use common::{await_job, boot, shutdown};
+use std::time::Duration;
 
-/// Boots a server and returns its address plus the join handle.
-fn boot(workers: usize, queue_depth: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    boot_with_deadline(workers, queue_depth, None)
-}
+mod common;
 
-/// Boots a server with a per-job wall-clock deadline.
-fn boot_with_deadline(
-    workers: usize,
-    queue_depth: usize,
-    job_deadline: Option<Duration>,
-) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::bind(ServeConfig {
-        port: 0,
+/// A server config with `workers` and a queue of `queue_depth`.
+fn config(workers: usize, queue_depth: usize) -> ServeConfig {
+    ServeConfig {
         workers,
         queue_depth,
-        job_deadline,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral loopback port");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || {
-        server.run().expect("accept loop exits cleanly");
-    });
-    (addr, handle)
-}
-
-fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
-    let r = client::request(addr, "POST", "/v1/shutdown", None).expect("shutdown reachable");
-    assert_eq!(r.status, 200, "{}", r.body);
-    handle.join().expect("server thread exits");
-}
-
-fn submit(addr: SocketAddr, body: &str) -> ClientResponse {
-    client::request(addr, "POST", "/v1/jobs", Some(body)).expect("submit reachable")
-}
-
-fn job_id(response: &ClientResponse) -> u64 {
-    let doc = parse(&response.body).expect("submit response is JSON");
-    doc.get("id")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("id should be an integer: {}", response.body))
-}
-
-/// Polls a job until it leaves the queue/running states.
-fn await_job(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let r = client::request(addr, "GET", &format!("/v1/jobs/{id}"), None)
-            .expect("status reachable");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let doc = parse(&r.body).expect("status is JSON");
-        let Some(state) = doc.get("state").and_then(Json::as_str) else {
-            panic!("state should be a string: {}", r.body);
-        };
-        match state {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} stuck: {}", r.body);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            _ => return doc,
-        }
     }
 }
 
@@ -84,13 +31,18 @@ fn await_job(addr: SocketAddr, id: u64) -> Json {
 const QUICK_SPEC: &str = r#"{"workload":"ycsb-a","controller":"simple",
     "insts":3000,"warmup":500,"scale":1024,"seed":7}"#;
 
+/// A spec long enough to keep a single worker busy while others queue.
+const SLOW_SPEC: &str =
+    r#"{"workload":"ycsb-a","controller":"simple","insts":120000,"warmup":1000,"scale":1024}"#;
+
 #[test]
 fn served_result_is_byte_identical_to_direct_run() {
-    let (addr, handle) = boot(2, 8);
+    let (addr, handle) = boot(config(2, 8));
 
-    let accepted = submit(addr, QUICK_SPEC);
-    assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let id = job_id(&accepted);
+    // The typed client submits and follows the event stream to `end`.
+    let client = Client::new(addr);
+    let id = client.submit_job(QUICK_SPEC).expect("accepted");
+    assert_eq!(client.await_end(id).expect("event stream"), "done");
 
     let status = await_job(addr, id);
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
@@ -127,20 +79,19 @@ fn served_result_is_byte_identical_to_direct_run() {
 #[test]
 fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
     let queue_depth = 2;
-    let (addr, handle) = boot(1, queue_depth);
+    let (addr, handle) = boot(config(1, queue_depth));
 
     // Occupy the single worker with a longer job, then burst.
-    let slow = submit(
-        addr,
-        r#"{"workload":"ycsb-a","controller":"simple","insts":120000,"warmup":1000,"scale":1024}"#,
-    );
-    assert_eq!(slow.status, 202, "{}", slow.body);
-    let mut accepted = vec![job_id(&slow)];
+    let slow = Client::new(addr).submit_job(SLOW_SPEC).expect("accepted");
+    let mut accepted = vec![slow];
     let mut rejected = 0usize;
     for _ in 0..(queue_depth + 6) {
-        let r = submit(addr, QUICK_SPEC);
+        let r = client::request(addr, "POST", "/v1/jobs", Some(QUICK_SPEC)).expect("reachable");
         match r.status {
-            202 => accepted.push(job_id(&r)),
+            202 => {
+                let doc = parse(&r.body).expect("202 body is JSON");
+                accepted.push(doc.get("id").and_then(Json::as_u64).expect("id"));
+            }
             503 => {
                 assert_eq!(r.header("retry-after"), Some("1"), "{}", r.body);
                 rejected += 1;
@@ -188,24 +139,17 @@ fn burst_beyond_queue_depth_gets_backpressure_without_losing_jobs() {
 
 #[test]
 fn queued_jobs_can_be_cancelled_and_never_run() {
-    let (addr, handle) = boot(1, 4);
+    let (addr, handle) = boot(config(1, 4));
 
     // Worker busy on a long job, next job waits in the queue.
-    let slow = submit(
-        addr,
-        r#"{"workload":"ycsb-a","controller":"simple","insts":120000,"warmup":1000,"scale":1024}"#,
-    );
-    assert_eq!(slow.status, 202);
-    let queued = submit(addr, QUICK_SPEC);
-    assert_eq!(queued.status, 202);
-    let id = job_id(&queued);
+    let slow_id = Client::new(addr).submit_job(SLOW_SPEC).expect("accepted");
+    let id = Client::new(addr).submit_job(QUICK_SPEC).expect("accepted");
 
     let r = client::request(addr, "POST", &format!("/v1/jobs/{id}/cancel"), None)
         .expect("cancel reachable");
     assert_eq!(r.status, 200, "{}", r.body);
 
     // The record stays cancelled even after the worker drains the queue.
-    let slow_id = job_id(&slow);
     await_job(addr, slow_id);
     let status = await_job(addr, id);
     assert_eq!(
@@ -225,15 +169,15 @@ fn queued_jobs_can_be_cancelled_and_never_run() {
 
 #[test]
 fn grid_jobs_return_row_major_results() {
-    let (addr, handle) = boot(2, 4);
+    let (addr, handle) = boot(config(2, 4));
 
-    let r = submit(
-        addr,
-        r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple","dice"],
+    let id = Client::new(addr)
+        .submit_job(
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple","dice"],
              "insts":3000,"warmup":500,"scale":1024,"seed":7}}"#,
-    );
-    assert_eq!(r.status, 202, "{}", r.body);
-    let status = await_job(addr, job_id(&r));
+        )
+        .expect("accepted");
+    let status = await_job(addr, id);
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     let Some(Json::Arr(results)) = status.get("result").and_then(|r| r.get("results")) else {
         panic!("grid result should hold an array: {}", status.render());
@@ -256,17 +200,22 @@ fn grid_jobs_return_row_major_results() {
 
 #[test]
 fn protocol_errors_are_typed() {
-    let (addr, handle) = boot(1, 2);
+    let (addr, handle) = boot(config(1, 2));
 
     // Malformed JSON body → 400 with a parse position.
-    let r = submit(addr, "{nope");
+    let r = client::request(addr, "POST", "/v1/jobs", Some("{nope")).expect("reachable");
     assert_eq!(r.status, 400, "{}", r.body);
     assert!(r.body.contains("invalid JSON"), "{}", r.body);
 
     // Well-formed JSON, bad spec → 400 naming the field.
-    let r = submit(addr, r#"{"workload":"not-a-workload"}"#);
+    let bad_spec = r#"{"workload":"not-a-workload"}"#;
+    let r = client::request(addr, "POST", "/v1/jobs", Some(bad_spec)).expect("reachable");
     assert_eq!(r.status, 400);
     assert!(r.body.contains("unknown workload"), "{}", r.body);
+    // The typed client surfaces the same refusal with the server's code.
+    let err = Client::new(addr).submit_job(bad_spec).expect_err("refused");
+    assert!(matches!(err, ClientError::Api { status: 400, .. }), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::InvalidSpec), "{err}");
 
     // Unknown endpoint → 404; wrong method → 405.
     let r = client::request(addr, "GET", "/v1/nope", None).expect("reachable");
@@ -298,18 +247,20 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     // One worker, 1 s budget per job: plenty for QUICK_SPEC even on a
     // host loaded with the rest of the test suite, hopeless for a
     // multi-million-instruction run in a debug build.
-    let (addr, handle) = boot_with_deadline(1, 4, Some(Duration::from_millis(1000)));
+    let (addr, handle) = boot(ServeConfig {
+        job_deadline: Some(Duration::from_millis(1000)),
+        ..config(1, 4)
+    });
 
-    let stuck = submit(
-        addr,
-        r#"{"workload":"ycsb-a","controller":"simple","insts":5000000,"warmup":1000,"scale":1024}"#,
-    );
-    assert_eq!(stuck.status, 202, "{}", stuck.body);
-    let quick = submit(addr, QUICK_SPEC);
-    assert_eq!(quick.status, 202, "{}", quick.body);
+    let stuck = Client::new(addr)
+        .submit_job(
+            r#"{"workload":"ycsb-a","controller":"simple","insts":5000000,"warmup":1000,"scale":1024}"#,
+        )
+        .expect("accepted");
+    let quick = Client::new(addr).submit_job(QUICK_SPEC).expect("accepted");
 
     // The oversized job is failed by the watchdog, with a timeout reason.
-    let status = await_job(addr, job_id(&stuck));
+    let status = await_job(addr, stuck);
     assert_eq!(
         status.get("state").and_then(Json::as_str),
         Some("failed"),
@@ -322,7 +273,7 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
     assert!(error.contains("deadline exceeded"), "{error}");
 
     // The worker survived the timeout and completed the queued job.
-    let status = await_job(addr, job_id(&quick));
+    let status = await_job(addr, quick);
     assert_eq!(
         status.get("state").and_then(Json::as_str),
         Some("done"),
@@ -355,10 +306,10 @@ fn deadline_exceeded_jobs_fail_and_the_worker_moves_on() {
 
 #[test]
 fn typed_client_distinguishes_connect_from_timeout_against_a_live_server() {
-    let (addr, handle) = boot(1, 2);
+    let (addr, handle) = boot(config(1, 2));
 
     // A tight read timeout against a healthy endpoint still succeeds.
-    let client = baryon_serve::client::Client::new(addr)
+    let client = Client::new(addr)
         .connect_timeout(Duration::from_secs(5))
         .read_timeout(Duration::from_secs(5))
         .retries(3)
@@ -374,18 +325,13 @@ fn typed_client_distinguishes_connect_from_timeout_against_a_live_server() {
     let err = client
         .request("GET", "/v1/healthz", None)
         .expect_err("server is gone");
-    assert!(
-        matches!(err, baryon_serve::client::ClientError::Connect(_)),
-        "{err}"
-    );
+    assert!(matches!(err, ClientError::Connect(_)), "{err}");
 }
 
 #[test]
 fn submissions_after_shutdown_are_refused() {
-    let (addr, handle) = boot(1, 2);
-    let accepted = submit(addr, QUICK_SPEC);
-    assert_eq!(accepted.status, 202);
-    let id = job_id(&accepted);
+    let (addr, handle) = boot(config(1, 2));
+    Client::new(addr).submit_job(QUICK_SPEC).expect("accepted");
 
     let r = client::request(addr, "POST", "/v1/shutdown", None).expect("reachable");
     assert_eq!(r.status, 200);
@@ -395,22 +341,19 @@ fn submissions_after_shutdown_are_refused() {
     // the in-process table had we kept the server; over the wire the
     // listener is gone, so any further submission fails to connect.
     assert!(client::request(addr, "POST", "/v1/jobs", Some(QUICK_SPEC)).is_err());
-    let _ = id;
 }
 
 #[test]
 fn events_stream_delivers_monotonic_progress_then_end() {
-    let (addr, handle) = boot(1, 4);
+    let (addr, handle) = boot(config(1, 4));
     // Long enough to cross several observation intervals (the default
     // cadence is 20k trace operations between progress publishes).
     let spec = r#"{"workload":"ycsb-a","controller":"simple",
         "insts":150000,"warmup":10000,"scale":1024,"seed":7}"#;
-    let accepted = submit(addr, spec);
-    assert_eq!(accepted.status, 202);
-    let id = job_id(&accepted);
+    let id = Client::new(addr).submit_job(spec).expect("accepted");
 
     let mut lines = Vec::new();
-    baryon_serve::client::Client::new(addr)
+    Client::new(addr)
         .stream(&format!("/v1/jobs/{id}/events"), &mut |line| {
             lines.push(line.to_owned())
         })
@@ -470,20 +413,21 @@ fn events_stream_delivers_monotonic_progress_then_end() {
 
 #[test]
 fn events_stream_for_unknown_job_is_a_typed_404() {
-    let (addr, handle) = boot(1, 2);
-    let err = baryon_serve::client::Client::new(addr)
+    let (addr, handle) = boot(config(1, 2));
+    let err = Client::new(addr)
         .stream("/v1/jobs/424242/events", &mut |_| {})
         .expect_err("no such job");
-    assert_eq!(err.code(), Some(baryon_serve::ErrorCode::NotFound), "{err}");
+    assert_eq!(err.code(), Some(ErrorCode::NotFound), "{err}");
     shutdown(addr, handle);
 }
 
 #[test]
 fn wire_metrics_reconstruct_the_registry_exactly() {
-    let (addr, handle) = boot(1, 2);
-    let accepted = submit(addr, QUICK_SPEC);
-    assert_eq!(accepted.status, 202);
-    await_job(addr, job_id(&accepted));
+    let (addr, handle) = boot(config(1, 2));
+    await_job(
+        addr,
+        Client::new(addr).submit_job(QUICK_SPEC).expect("accepted"),
+    );
 
     let wire_doc = client::request(addr, "GET", "/v1/metrics?format=wire", None)
         .expect("wire metrics reachable");

@@ -5,13 +5,14 @@
 //! uninterrupted run would have produced.
 
 use baryon_bench::spec::{RunSpec, CHECKPOINT_PREFIX};
-use baryon_serve::client::{self, ClientResponse};
+use baryon_serve::client::{self, Client};
 use baryon_serve::journal::{Journal, JournalEvent};
-use baryon_serve::{ServeConfig, Server};
+use baryon_serve::ServeConfig;
 use baryon_sim::json::{parse, Json};
-use std::net::SocketAddr;
+use common::{await_job, boot, shutdown};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+
+mod common;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("baryon-recovery-{tag}-{}", std::process::id()));
@@ -19,45 +20,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn boot(journal_dir: &Path) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::bind(ServeConfig {
-        port: 0,
+/// A one-worker server journaling to `journal_dir`.
+fn journaled(journal_dir: &Path) -> ServeConfig {
+    ServeConfig {
         workers: 1,
         queue_depth: 8,
         journal_dir: Some(journal_dir.to_path_buf()),
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral loopback port");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || {
-        server.run().expect("accept loop exits cleanly");
-    });
-    (addr, handle)
-}
-
-fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
-    let r = client::request(addr, "POST", "/v1/shutdown", None).expect("shutdown reachable");
-    assert_eq!(r.status, 200, "{}", r.body);
-    handle.join().expect("server thread exits");
-}
-
-fn await_job(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let r = client::request(addr, "GET", &format!("/v1/jobs/{id}"), None)
-            .expect("status reachable");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let doc = parse(&r.body).expect("status is JSON");
-        let Some(state) = doc.get("state").and_then(Json::as_str) else {
-            panic!("state should be a string: {}", r.body);
-        };
-        match state {
-            "queued" | "running" => {
-                assert!(Instant::now() < deadline, "job {id} stuck: {}", r.body);
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            _ => return doc,
-        }
     }
 }
 
@@ -74,10 +43,6 @@ fn quick_spec() -> RunSpec {
     }
 }
 
-fn submit(addr: SocketAddr, body: &str) -> ClientResponse {
-    client::request(addr, "POST", "/v1/jobs", Some(body)).expect("submit reachable")
-}
-
 /// Settled jobs and their results survive a clean restart, and the ID
 /// counter continues above the recovered jobs.
 #[test]
@@ -85,9 +50,9 @@ fn finished_jobs_survive_restart() {
     let dir = temp_dir("finished");
     let spec_body = quick_spec().to_json().render();
 
-    let (addr, handle) = boot(&dir);
-    let accepted = submit(addr, &spec_body);
-    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let (addr, handle) = boot(journaled(&dir));
+    let id = Client::new(addr).submit_job(&spec_body).expect("accepted");
+    assert_eq!(id, 1);
     let status = await_job(addr, 1);
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     let result = status.get("result").map(Json::render);
@@ -95,7 +60,7 @@ fn finished_jobs_survive_restart() {
     shutdown(addr, handle);
 
     // Second incarnation, same journal directory.
-    let (addr, handle) = boot(&dir);
+    let (addr, handle) = boot(journaled(&dir));
     let r = client::request(addr, "GET", "/v1/jobs/1", None).expect("status reachable");
     assert_eq!(r.status, 200, "{}", r.body);
     let doc = parse(&r.body).expect("status is JSON");
@@ -106,9 +71,8 @@ fn finished_jobs_survive_restart() {
         "journaled result changed across restart"
     );
     // New submissions never collide with recovered IDs.
-    let accepted = submit(addr, &spec_body);
-    assert_eq!(accepted.status, 202, "{}", accepted.body);
-    assert!(accepted.body.contains("\"id\":2"), "{}", accepted.body);
+    let id = Client::new(addr).submit_job(&spec_body).expect("accepted");
+    assert_eq!(id, 2);
     await_job(addr, 2);
     shutdown(addr, handle);
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -161,7 +125,7 @@ fn unstarted_and_interrupted_jobs_recover() {
         }
     }
 
-    let (addr, handle) = boot(&dir);
+    let (addr, handle) = boot(journaled(&dir));
     for id in [1, 2, 3] {
         let status = await_job(addr, id);
         assert_eq!(

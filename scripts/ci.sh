@@ -59,40 +59,40 @@ cargo run --release -p baryon-serve --bin kill_resume --offline
 echo "==> differential golden gate (10 controllers x 17 workloads)"
 cargo test -q -p baryon-bench --release --offline --test differential_golden
 
-# Fleet determinism gate: boot a coordinator over 3 real shard
-# processes, submit a batched grid sweep, SIGKILL one shard while cells
-# are in flight, and require the supervisor to restart it and the
-# gathered result to be byte-identical to a single-process run of the
-# same spec. Also asserts the event stream's progress is monotonic and
-# /v1/metrics reports every shard under its shard<i>. namespace.
-echo "==> fleet kill-mid-sweep determinism gate (3 shards)"
+# Fleet gate: one binary, three scenarios in a fixed order, each on a
+# fresh coordinator over 3 real shard processes with its own journal
+# root; it stops at the first failure and names the scenario. Every
+# scenario requires gathered results byte-identical to a single-process
+# run of the same spec.
+#  - kill-mid-sweep: submit a batched grid sweep, SIGKILL one shard while
+#    cells are in flight, and require the supervisor to restart it and
+#    the gathered result to match. Also asserts the event stream's
+#    progress is monotonic and /v1/metrics reports every shard under its
+#    shard<i>. namespace.
+#  - config-rollout: with a grid sweep in flight, stage a
+#    degraded-but-valid policy (1 ms job deadline) and commit. The
+#    rolling restart's canary must fail on the first shard and the fleet
+#    must roll itself back: 409 rollout_failed, the slot marked bad, zero
+#    lost jobs, and the gathered grid byte-identical. Then a benign
+#    policy must commit cleanly (the generation propagating into results
+#    and every shard's metrics) and roll back to the unstamped baseline.
+#  - chaos-ladder: the degradation ladder under aggressive seeded fault
+#    injection on every shard (torn/failed journal appends, silent
+#    post-write corruption, read flips, fsync failures, post-CRC response
+#    flips) plus a forced crash loop. One shard must exhaust its
+#    crash-loop budget and be quarantined with singles failing over,
+#    rotten checkpoint rotations must be quarantined down the fallback
+#    ladder to a cold run, and an 8-cell sweep over the degraded fleet
+#    must lose zero jobs and gather byte-identical to a fault-free run.
+# To reproduce a chaos failure exactly, re-run with the seed and rates it
+# printed, e.g.
+#   BARYON_CHAOS_SEED=42 BARYON_CHAOS_CORRUPT_PPM=20000 ... fleet_gate
+# (every BARYON_CHAOS_*_PPM knob honors the environment; the gate strips
+# them from its own environment and hands them to the chaos-ladder shards
+# only, and all default off outside that scenario, so nothing else in CI
+# sees injected faults).
+echo "==> fleet gate: kill-mid-sweep, config-rollout, chaos-ladder (3 shards each)"
 cargo run --release -p baryon-fleet --bin fleet_gate --offline
-
-# Config-rollout gate: on a live 3-shard fleet with a grid sweep in
-# flight, stage a degraded-but-valid policy (1 ms job deadline) and
-# commit. The rolling restart's canary must fail on the first shard and
-# the fleet must roll itself back: 409 rollout_failed, the slot marked
-# bad, zero lost jobs, and the gathered grid byte-identical to a
-# single-process run. Then a benign policy must commit cleanly (the
-# generation propagating into results and every shard's metrics) and
-# roll back to the unstamped baseline.
-echo "==> fleet config-rollout auto-rollback gate (3 shards)"
-cargo run --release -p baryon-fleet --bin rollout_gate --offline
-
-# Fleet chaos gate: the degradation ladder under aggressive seeded fault
-# injection on every shard (torn/failed journal appends, silent
-# post-write corruption, read flips, fsync failures, post-CRC response
-# flips) plus a forced crash loop. One shard must exhaust its crash-loop
-# budget and be quarantined with singles failing over, rotten checkpoint
-# rotations must be quarantined down the fallback ladder to a cold run,
-# and an 8-cell sweep over the degraded fleet must lose zero jobs and
-# gather byte-identical to a fault-free run. To reproduce a failure
-# exactly, re-run with the seed and rates it printed, e.g.
-#   BARYON_CHAOS_SEED=42 BARYON_CHAOS_CORRUPT_PPM=20000 ... chaos_gate
-# (every BARYON_CHAOS_*_PPM knob honors the environment; all default off
-# outside this gate, so nothing else in CI sees injected faults).
-echo "==> fleet chaos gate (hostile disk + lying shard, 3 shards)"
-cargo run --release -p baryon-fleet --bin chaos_gate --offline
 
 # Throughput + telemetry overhead gate: the sim-throughput harness runs
 # a small workload matrix twice (spans off / spans on) and fails when
