@@ -2,7 +2,7 @@
 //!
 //! Runs the full registry of workloads through `baryon` (flat remap
 //! table), `hybrid2` (per-block metadata lines), and `trimma` (the
-//! multi-level remap store) with telemetry on, and writes
+//! multi-level remap store), and writes
 //! `BENCH_metadata.json` at the repository root with, per workload:
 //!
 //! * **metadata footprint bytes** — flat and hybrid2 are provisioned
@@ -10,8 +10,6 @@
 //!   migrate); trimma reports the *live* footprint gauge (root level
 //!   plus only the leaves that migrations actually allocated), plus its
 //!   worst-case reservation for context,
-//! * **remap-walk span time** — the `ctrl.span.remap_walk` wall-clock
-//!   summary of the baryon-family controllers,
 //! * **hot-level hit latency and hit rate** — the configured SRAM
 //!   latency of each store's metadata cache and its measured hit rate.
 //!
@@ -29,7 +27,6 @@
 use baryon_bench::spec::RunSpec;
 use baryon_core::checkpoint::atomic_write;
 use baryon_core::config::BaryonConfig;
-use baryon_core::metrics::RunResult;
 use baryon_sim::json::Json;
 use baryon_workloads::{registry, Scale};
 use std::path::PathBuf;
@@ -53,25 +50,6 @@ fn spec(workload: &str, controller: &str, insts: u64) -> RunSpec {
         scale: SCALE,
         seed: 42,
         mlp: 1,
-        telemetry: true,
-    }
-}
-
-/// The `ctrl.span.remap_walk` summary: (samples, mean ns).
-fn walk_span(r: &RunResult) -> Option<(u64, f64)> {
-    r.telemetry
-        .summaries()
-        .find(|(name, _)| *name == "ctrl.span.remap_walk")
-        .map(|(_, h)| (h.count(), h.mean()))
-}
-
-fn span_json(r: &RunResult) -> Json {
-    match walk_span(r) {
-        Some((count, mean_ns)) => Json::obj([
-            ("samples", Json::from(count)),
-            ("mean_ns", Json::from(mean_ns)),
-        ]),
-        None => Json::Null,
     }
 }
 
@@ -94,8 +72,8 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let mut wins = 0u64;
     println!(
-        "{:<16} {:>12} {:>12} {:>14} {:>10} {:>10}",
-        "workload", "flat B", "trimma B", "trimma/flat", "flat walk", "trimma walk"
+        "{:<16} {:>12} {:>12} {:>14}",
+        "workload", "flat B", "trimma B", "trimma/flat"
     );
     for workload in &workloads {
         let run = |controller: &str| {
@@ -116,15 +94,9 @@ fn main() -> ExitCode {
         if (trimma_live as u64) < flat_bytes {
             wins += 1;
         }
-        let fmt_walk = |r: &RunResult| match walk_span(r) {
-            Some((_, mean)) => format!("{mean:.0} ns"),
-            None => "-".to_owned(),
-        };
         println!(
-            "{workload:<16} {flat_bytes:>12} {:>12} {ratio:>13.2}x {:>10} {:>10}",
+            "{workload:<16} {flat_bytes:>12} {:>12} {ratio:>13.2}x",
             trimma_live as u64,
-            fmt_walk(&baryon),
-            fmt_walk(&trimma),
         );
         rows.push(Json::obj([
             ("workload", Json::from(workload.as_str())),
@@ -137,7 +109,6 @@ fn main() -> ExitCode {
                         "hot_hit_rate",
                         Json::from(baryon.telemetry.gauge("ctrl.remap.cache_hit_rate")),
                     ),
-                    ("remap_walk", span_json(&baryon)),
                     ("cycles", Json::from(baryon.total_cycles)),
                 ]),
             ),
@@ -182,7 +153,6 @@ fn main() -> ExitCode {
                         "hot_hit_rate",
                         Json::from(trimma.telemetry.gauge("ctrl.remap.cache_hit_rate")),
                     ),
-                    ("remap_walk", span_json(&trimma)),
                     ("cycles", Json::from(trimma.total_cycles)),
                 ]),
             ),

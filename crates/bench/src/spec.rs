@@ -70,10 +70,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Memory-level parallelism per core.
     pub mlp: u64,
-    /// Collect wall-clock spans (`*.span.*` summaries) during the run.
-    /// Off by default: disabled runs never read the host clock, keeping
-    /// results bit-identical.
-    pub telemetry: bool,
 }
 
 impl Default for RunSpec {
@@ -86,7 +82,6 @@ impl Default for RunSpec {
             scale: 256,
             seed: 42,
             mlp: 1,
-            telemetry: false,
         }
     }
 }
@@ -135,9 +130,9 @@ fn field_str_list(key: &str, value: &Json) -> Result<Vec<String>, String> {
 impl RunSpec {
     /// Builds a spec from a JSON object, starting from [`Default`] and
     /// overriding any of `workload`, `controller`, `insts`, `warmup`,
-    /// `scale`, `seed`, `mlp`, `telemetry`. A `threads` field (a
-    /// non-negative integer) is type-checked and ignored, so specs that
-    /// still carry the retired knob stay readable.
+    /// `scale`, `seed`, `mlp`. The retired `threads` (a non-negative
+    /// integer) and `telemetry` (a boolean) fields are type-checked and
+    /// ignored, so specs that still carry them stay readable.
     ///
     /// # Errors
     ///
@@ -157,9 +152,11 @@ impl RunSpec {
                 "scale" => spec.scale = field_u64(key, value)?,
                 "seed" => spec.seed = field_u64(key, value)?,
                 "mlp" => spec.mlp = field_u64(key, value)?,
-                "telemetry" => spec.telemetry = field_bool(key, value)?,
                 "threads" => {
                     field_u64(key, value)?;
+                }
+                "telemetry" => {
+                    field_bool(key, value)?;
                 }
                 other => return Err(format!("unknown run spec field `{other}`")),
             }
@@ -178,7 +175,6 @@ impl RunSpec {
             ("scale", Json::from(self.scale)),
             ("seed", Json::from(self.seed)),
             ("mlp", Json::from(self.mlp)),
-            ("telemetry", Json::Bool(self.telemetry)),
         ])
     }
 
@@ -264,7 +260,6 @@ impl RunSpec {
         let mut cfg = SystemConfig::with_controller(scale, kind);
         cfg.warmup_insts = self.warmup;
         cfg.mlp = self.mlp as usize;
-        cfg.telemetry = self.telemetry;
         Ok(System::new(cfg, &workload, self.seed))
     }
 
@@ -435,7 +430,7 @@ pub struct GridSpec {
 impl GridSpec {
     /// Builds a grid from a JSON object with `workloads` and `controllers`
     /// string arrays plus any [`RunSpec`] knob overrides (including the
-    /// retired `threads`, checked and ignored as there).
+    /// retired `threads` and `telemetry`, checked and ignored as there).
     ///
     /// # Errors
     ///
@@ -456,9 +451,11 @@ impl GridSpec {
                 "scale" => base.scale = field_u64(key, value)?,
                 "seed" => base.seed = field_u64(key, value)?,
                 "mlp" => base.mlp = field_u64(key, value)?,
-                "telemetry" => base.telemetry = field_bool(key, value)?,
                 "threads" => {
                     field_u64(key, value)?;
+                }
+                "telemetry" => {
+                    field_bool(key, value)?;
                 }
                 other => return Err(format!("unknown grid spec field `{other}`")),
             }
@@ -544,7 +541,6 @@ impl JobSpec {
                     ("scale", Json::from(grid.base.scale)),
                     ("seed", Json::from(grid.base.seed)),
                     ("mlp", Json::from(grid.base.mlp)),
-                    ("telemetry", Json::Bool(grid.base.telemetry)),
                 ]),
             )]),
         }
@@ -605,7 +601,6 @@ mod tests {
             scale: 1024,
             seed: 7,
             mlp: 2,
-            telemetry: true,
         };
         let back = RunSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(back, spec);
@@ -637,6 +632,7 @@ mod tests {
             r#"{"scale":0}"#,
             r#"{"mlp":0}"#,
             r#"{"threads":"eight"}"#,
+            r#"{"telemetry":"yes"}"#,
             r#"[1,2]"#,
         ] {
             let doc = parse(bad).expect("valid json");
@@ -646,14 +642,19 @@ mod tests {
 
     #[test]
     fn retired_threads_field_is_read_and_dropped() {
-        let doc = parse(r#"{"workload":"ycsb-a","threads":8}"#).expect("valid json");
-        let spec = RunSpec::from_json(&doc).expect("valid spec");
-        assert!(!spec.to_json().render().contains("threads"));
         let doc =
-            parse(r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"threads":8}}"#)
-                .expect("valid json");
+            parse(r#"{"workload":"ycsb-a","threads":8,"telemetry":true}"#).expect("valid json");
+        let spec = RunSpec::from_json(&doc).expect("valid spec");
+        let rendered = spec.to_json().render();
+        assert!(!rendered.contains("threads") && !rendered.contains("telemetry"));
+        let doc = parse(
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],
+                      "threads":8,"telemetry":true}}"#,
+        )
+        .expect("valid json");
         let job = JobSpec::from_json(&doc).expect("valid grid");
-        assert!(!job.to_json().render().contains("threads"));
+        let rendered = job.to_json().render();
+        assert!(!rendered.contains("threads") && !rendered.contains("telemetry"));
     }
 
     #[test]
@@ -666,7 +667,6 @@ mod tests {
             scale: 1024,
             seed: 9,
             mlp: 1,
-            telemetry: false,
         };
         let via_spec = spec.execute().expect("runs");
 
@@ -718,6 +718,7 @@ mod tests {
             r#"{"grid":{"workloads":["ycsb-a"],"controllers":["nope"]}}"#,
             r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"]},"insts":5}"#,
             r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"threads":"eight"}}"#,
+            r#"{"grid":{"workloads":["ycsb-a"],"controllers":["simple"],"telemetry":"yes"}}"#,
         ] {
             let doc = parse(bad).expect("valid json");
             assert!(JobSpec::from_json(&doc).is_err(), "accepted {bad}");
@@ -739,7 +740,6 @@ mod tests {
             scale: 1024,
             seed: 11,
             mlp: 1,
-            telemetry: false,
         }
     }
 

@@ -20,7 +20,6 @@ fn spec_for(controller: &str, seed: u64) -> RunSpec {
         scale: 2048,
         seed,
         mlp: 1,
-        telemetry: false,
     }
 }
 

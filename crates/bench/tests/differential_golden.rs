@@ -1,6 +1,6 @@
 //! Differential goldens for the data-oriented hot-path refactor: every
-//! controller family runs on every registry workload (telemetry off and
-//! on) and the full `RunResult` JSON must hash to the values blessed
+//! controller family runs once on every registry workload and the full
+//! `RunResult` JSON, and its metric snapshot, must hash to the values blessed
 //! before the refactor. The fixture is the oracle — the arena-backed
 //! structures must be *bit-identical* to the map-backed originals, not
 //! merely statistically close.
@@ -39,7 +39,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn spec(workload: &str, controller: &str, telemetry: bool) -> RunSpec {
+fn spec(workload: &str, controller: &str) -> RunSpec {
     RunSpec {
         workload: workload.to_owned(),
         controller: controller.to_owned(),
@@ -48,41 +48,28 @@ fn spec(workload: &str, controller: &str, telemetry: bool) -> RunSpec {
         scale: SCALE,
         seed: SEED,
         mlp: 1,
-        telemetry,
     }
 }
 
-/// Runs one (controller, workload) cell with telemetry off and on and
-/// returns `(off_hash, on_hash)`.
+/// Runs one (controller, workload) cell and returns `(json_hash,
+/// snapshot_hash)`.
 ///
-/// * `off_hash` covers the complete `RunResult::to_json` rendering —
+/// * `json_hash` covers the complete `RunResult::to_json` rendering —
 ///   every counter, byte count, latency bucket and telemetry metric.
-/// * `on_hash` covers the telemetry-on snapshot with the wall-clock
-///   `*.span.*` summaries stripped (spans legitimately vary run to run;
-///   everything else may not).
-///
-/// The pair also cross-checks that enabling telemetry does not perturb
-/// the simulation itself.
+/// * `snapshot_hash` covers the same run's `RunResult::snapshot`, one
+///   `name=value;` entry per metric in name order.
 fn hash_cell(workload: &str, controller: &str) -> (u64, u64) {
-    let off = spec(workload, controller, false)
+    let r = spec(workload, controller)
         .execute()
-        .unwrap_or_else(|e| panic!("{controller}/{workload} (telemetry off): {e}"));
-    let on = spec(workload, controller, true)
-        .execute()
-        .unwrap_or_else(|e| panic!("{controller}/{workload} (telemetry on): {e}"));
-    assert_eq!(
-        (off.total_cycles, off.instructions, off.llc_misses),
-        (on.total_cycles, on.instructions, on.llc_misses),
-        "{controller}/{workload}: telemetry flag perturbed the simulation"
-    );
-    let off_hash = fnv1a(off.to_json().render().as_bytes());
-    let mut stripped = String::new();
-    for (k, v) in on.snapshot() {
-        if !k.contains("span.") {
-            let _ = write!(stripped, "{k}={v:?};");
-        }
+        .unwrap_or_else(|e| panic!("{controller}/{workload}: {e}"));
+    let mut snapshot = String::new();
+    for (k, v) in r.snapshot() {
+        let _ = write!(snapshot, "{k}={v:?};");
     }
-    (off_hash, fnv1a(stripped.as_bytes()))
+    (
+        fnv1a(r.to_json().render().as_bytes()),
+        fnv1a(snapshot.as_bytes()),
+    )
 }
 
 #[test]
@@ -94,8 +81,10 @@ fn all_controllers_match_pre_refactor_goldens() {
     let mut lines = Vec::new();
     for controller in CONTROLLER_NAMES {
         for workload in &workloads {
-            let (off, on) = hash_cell(workload, controller);
-            lines.push(format!("{controller} {workload} {off:016x} {on:016x}"));
+            let (json, snapshot) = hash_cell(workload, controller);
+            lines.push(format!(
+                "{controller} {workload} {json:016x} {snapshot:016x}"
+            ));
         }
     }
     let actual = lines.join("\n") + "\n";

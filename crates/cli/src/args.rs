@@ -117,30 +117,6 @@ impl Args {
         })
     }
 
-    /// A boolean flag with a default (`--key true|false|1|0|on|off`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on values outside that set.
-    pub fn try_bool(&self, key: &str, default: bool) -> Result<bool, ArgError> {
-        match self.flags.get(key).map(String::as_str) {
-            None => Ok(default),
-            Some("true" | "1" | "on") => Ok(true),
-            Some("false" | "0" | "off") => Ok(false),
-            Some(v) => Err(ArgError(format!(
-                "flag --{key} expects true/false, got {v}"
-            ))),
-        }
-    }
-
-    /// A boolean flag with a default; exits on unparsable input.
-    pub fn bool_flag(&self, key: &str, default: bool) -> bool {
-        self.try_bool(key, default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    }
-
     /// The capacity scale (`--scale` divisor, default 256).
     pub fn scale(&self) -> Scale {
         Scale {
@@ -199,20 +175,6 @@ mod tests {
         assert_eq!(parse(&["list"]).scale().divisor, 256);
         assert_eq!(parse(&["list", "--scale", "512"]).scale().divisor, 512);
         assert_eq!(parse(&["list", "--scale=512"]).scale().divisor, 512);
-    }
-
-    #[test]
-    fn bool_flags_parse_the_usual_spellings() {
-        assert!(!parse(&["run"]).bool_flag("telemetry", false));
-        assert!(parse(&["run"]).bool_flag("telemetry", true));
-        for on in ["true", "1", "on"] {
-            assert!(parse(&["run", "--telemetry", on]).bool_flag("telemetry", false));
-        }
-        for off in ["false", "0", "off"] {
-            assert!(!parse(&["run", "--telemetry", off]).bool_flag("telemetry", true));
-        }
-        let a = parse(&["run", "--telemetry", "maybe"]);
-        assert!(a.try_bool("telemetry", false).is_err());
     }
 
     #[test]

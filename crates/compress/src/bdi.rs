@@ -14,7 +14,7 @@
 //! Sizes follow the BDI paper's layout: `base + n·Δ + ceil(n/8)` where the
 //! final term is the per-element base-selection bitmask.
 
-use crate::frame::IntegrityError;
+use crate::IntegrityError;
 
 /// One (element size, delta size) BDI encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,138 +234,6 @@ pub fn decode(encoded: &Encoded) -> Result<Vec<u8>, IntegrityError> {
     })
 }
 
-/// Serializes [`encode`]'s representation into a byte stream so BDI
-/// blocks can travel through [`crate::frame`] like the bit-stream
-/// compressors:
-///
-/// ```text
-/// [0][len u16]                                  Zeros
-/// [1][len u16][value 8 B]                       Repeat
-/// [2][elem][delta][base 8 B][n u16][mask][Δ…]   Deltas
-/// [3][len u16][bytes]                           Raw
-/// ```
-///
-/// # Panics
-///
-/// Panics if `data` is not a multiple of 8 bytes or exceeds
-/// `u16::MAX` bytes.
-pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
-    assert!(data.len() <= u16::MAX as usize, "chunk too large");
-    let mut out = Vec::new();
-    match encode(data) {
-        Encoded::Zeros(len) => {
-            out.push(0);
-            out.extend_from_slice(&(len as u16).to_le_bytes());
-        }
-        Encoded::Repeat(val, len) => {
-            out.push(1);
-            out.extend_from_slice(&(len as u16).to_le_bytes());
-            out.extend_from_slice(&val);
-        }
-        Encoded::Deltas {
-            enc,
-            base,
-            uses_base,
-            deltas,
-        } => {
-            out.push(2);
-            out.push(enc.elem as u8);
-            out.push(enc.delta as u8);
-            out.extend_from_slice(&base.to_le_bytes());
-            out.extend_from_slice(&(uses_base.len() as u16).to_le_bytes());
-            let mut mask = vec![0u8; uses_base.len().div_ceil(8)];
-            for (i, ub) in uses_base.iter().enumerate() {
-                if *ub {
-                    mask[i / 8] |= 1 << (i % 8);
-                }
-            }
-            out.extend_from_slice(&mask);
-            for d in &deltas {
-                out.extend_from_slice(&d.to_le_bytes()[..enc.delta]);
-            }
-        }
-        Encoded::Raw(bytes) => {
-            out.push(3);
-            out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
-    }
-    out
-}
-
-/// Parses an [`encode_bytes`] stream and decodes it.
-///
-/// # Errors
-///
-/// Returns a typed [`IntegrityError`] for truncated or structurally
-/// invalid streams; never silent garbage.
-pub fn decode_bytes(stream: &[u8]) -> Result<Vec<u8>, IntegrityError> {
-    let need = |context| IntegrityError::Truncated { context };
-    let tag = *stream.first().ok_or(need("BDI tag"))?;
-    let rest = &stream[1..];
-    let read_u16 = |s: &[u8]| -> Result<usize, IntegrityError> {
-        Ok(u16::from_le_bytes([
-            *s.first().ok_or(need("BDI length"))?,
-            *s.get(1).ok_or(need("BDI length"))?,
-        ]) as usize)
-    };
-    let encoded = match tag {
-        0 => Encoded::Zeros(read_u16(rest)?),
-        1 => {
-            let len = read_u16(rest)?;
-            let val: [u8; 8] = rest
-                .get(2..10)
-                .ok_or(need("BDI repeat value"))?
-                .try_into()
-                .expect("8 bytes");
-            Encoded::Repeat(val, len)
-        }
-        2 => {
-            let elem = *rest.first().ok_or(need("BDI element size"))? as usize;
-            let delta = *rest.get(1).ok_or(need("BDI delta size"))? as usize;
-            let enc = Encoding { elem, delta };
-            if !ENCODINGS.contains(&enc) {
-                return Err(IntegrityError::Malformed("unknown BDI encoding"));
-            }
-            let base = i64::from_le_bytes(
-                rest.get(2..10)
-                    .ok_or(need("BDI base"))?
-                    .try_into()
-                    .expect("8 bytes"),
-            );
-            let n = read_u16(rest.get(10..).ok_or(need("BDI count"))?)?;
-            let mask_bytes = n.div_ceil(8);
-            let mask = rest.get(12..12 + mask_bytes).ok_or(need("BDI mask"))?;
-            let deltas_raw = rest.get(12 + mask_bytes..).ok_or(need("BDI deltas"))?;
-            if deltas_raw.len() < n * delta {
-                return Err(need("BDI deltas"));
-            }
-            let mut uses_base = Vec::with_capacity(n);
-            let mut deltas = Vec::with_capacity(n);
-            for i in 0..n {
-                uses_base.push(mask[i / 8] >> (i % 8) & 1 == 1);
-                let mut buf = [0u8; 8];
-                buf[..delta].copy_from_slice(&deltas_raw[i * delta..(i + 1) * delta]);
-                let shift = 64 - 8 * delta as u32;
-                deltas.push((i64::from_le_bytes(buf) << shift) >> shift);
-            }
-            Encoded::Deltas {
-                enc,
-                base,
-                uses_base,
-                deltas,
-            }
-        }
-        3 => {
-            let len = read_u16(rest)?;
-            let bytes = rest.get(2..2 + len).ok_or(need("BDI raw bytes"))?;
-            Encoded::Raw(bytes.to_vec())
-        }
-        _ => return Err(IntegrityError::Malformed("unknown BDI tag")),
-    };
-    decode(&encoded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,12 +242,6 @@ mod tests {
         let enc = encode(data);
         let dec = decode(&enc).expect("encoder output decodes");
         assert_eq!(dec, data, "BDI roundtrip failed for {enc:?}");
-        let bytes = encode_bytes(data);
-        assert_eq!(
-            decode_bytes(&bytes).expect("serialized form decodes"),
-            data,
-            "BDI byte-stream roundtrip failed"
-        );
     }
 
     #[test]
@@ -399,25 +261,6 @@ mod tests {
         };
         assert!(matches!(decode(&bad), Err(IntegrityError::Malformed(_))));
         assert!(decode(&Encoded::Zeros(13)).is_err());
-    }
-
-    #[test]
-    fn truncated_byte_streams_are_errors() {
-        let mut data = Vec::new();
-        for i in 0..8u64 {
-            data.extend_from_slice(&(0x7000_0000_0000u64 + i).to_le_bytes());
-        }
-        let bytes = encode_bytes(&data);
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} should fail to decode"
-            );
-        }
-        assert!(matches!(
-            decode_bytes(&[9, 0, 0]),
-            Err(IntegrityError::Malformed(_))
-        ));
     }
 
     #[test]

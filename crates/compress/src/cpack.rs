@@ -20,7 +20,7 @@
 //! dictionary, exactly as the hardware does.
 
 use crate::fpc::{BitReader, BitWriter};
-use crate::frame::IntegrityError;
+use crate::IntegrityError;
 
 const DICT_WORDS: usize = 16;
 

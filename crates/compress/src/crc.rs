@@ -2,10 +2,9 @@
 //! the workspace stays hermetic.
 //!
 //! The table is generated at compile time by a `const fn`; the hot path
-//! is the classic one-lookup-per-byte reflected implementation. Used by
-//! [`crate::frame`] to seal every compressed block with an end-to-end
-//! checksum of the *raw* (uncompressed) bytes, so corruption anywhere in
-//! the compress → store → fetch → decompress pipeline is detected.
+//! is the classic one-lookup-per-byte reflected implementation. The
+//! workspace uses it to frame checkpoint files, serve journal records and
+//! HTTP replies, so torn or bit-flipped bytes are detected.
 //!
 //! # Examples
 //!

@@ -17,7 +17,7 @@
 //! [`compressed_size`] is the size model used in the simulator's hot path;
 //! [`encode`]/[`decode`] are a real lossless bitstream used to validate it.
 
-use crate::frame::IntegrityError;
+use crate::IntegrityError;
 
 /// A little-endian bit stream writer used by the FPC encoder.
 #[derive(Debug, Default, Clone)]

@@ -14,9 +14,8 @@
 //!   §III-E (each 64·n-byte chunk of a CF=n range must independently compress
 //!   to ≤ 64 B, so that a single DDRx 64 B transfer can be decompressed alone),
 //! * zero-block detection for the `Z`-bit optimization,
-//! * [`frame`] — CRC32-sealed block framing ([`crc`] is the hermetic
-//!   table-driven checksum) so a corrupted block is a typed
-//!   [`IntegrityError`], never silent garbage.
+//! * [`crc`] — the hermetic table-driven CRC32 the rest of the workspace
+//!   uses to frame checkpoints, journal records and replies.
 //!
 //! Both algorithms also have full encoders/decoders so tests can verify
 //! losslessness, not just size models; every decoder returns `Result`
@@ -44,17 +43,43 @@ pub mod bdi;
 pub mod cpack;
 pub mod crc;
 pub mod fpc;
-pub mod frame;
 pub mod range;
 
-pub use frame::IntegrityError;
 pub use range::{Cf, RangeCompressor};
+
+use std::fmt;
 
 /// The cacheline size all compressors are designed around (64 B, Table I).
 pub const CACHELINE_BYTES: usize = 64;
 
 /// The sub-block size of Baryon (256 B, §III-B).
 pub const SUB_BLOCK_BYTES: usize = 256;
+
+/// Why a compressed stream failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IntegrityError {
+    /// The stream ended before the decoder got the bits it needed.
+    Truncated {
+        /// What the decoder was reading when it ran out.
+        context: &'static str,
+    },
+    /// Structurally invalid data (bad tag, reserved code, inconsistent
+    /// fields).
+    Malformed(&'static str),
+}
+
+impl fmt::Display for IntegrityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IntegrityError::Truncated { context } => {
+                write!(f, "stream truncated while reading {context}")
+            }
+            IntegrityError::Malformed(what) => write!(f, "malformed stream: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for IntegrityError {}
 
 /// Which algorithm produced the winning (smallest) compressed size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

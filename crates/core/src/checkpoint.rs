@@ -10,15 +10,13 @@
 //!
 //! ```text
 //! magic  b"BCKP"        4 bytes
-//! version u8            currently 1
+//! version u8            currently 3
 //! len    u64            payload length in bytes
 //! crc    u32            CRC-32 of the payload
 //! payload               wire-encoded Checkpoint
 //! ```
 //!
-//! The CRC framing detects torn and bit-flipped files; `frame::seal` from
-//! the compress crate is not reusable here because its u16 length field
-//! cannot carry multi-megabyte system states. Writes go through
+//! The CRC framing detects torn and bit-flipped files. Writes go through
 //! [`atomic_write`] (temp file + rename), so a crash mid-write leaves
 //! either the old checkpoint or none — never a half-written one that
 //! parses.
@@ -33,7 +31,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 4] = b"BCKP";
 /// Bumped whenever the serialized `System` state layout changes, so an
 /// older payload is refused at the header instead of misread.
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const HEADER_LEN: usize = 4 + 1 + 8 + 4;
 
 /// Why a checkpoint could not be restored.
@@ -414,8 +412,8 @@ mod tests {
             Checkpoint::from_bytes(&bytes),
             Err(RestoreError::BadMagic(_))
         ));
-        // 1 is the previous `System` layout: refused, never misread.
-        for version in [1, 99] {
+        // 1 and 2 are earlier `System` layouts: refused, never misread.
+        for version in [1, 2, 99] {
             let mut bytes = sample().to_bytes();
             bytes[4] = version;
             assert!(

@@ -18,12 +18,6 @@ impl BaryonController {
     /// Fetches the maximal compressible range around `(b, sub)` from slow
     /// memory and stages it (cases 3 and 5; slow-to-stage prefetch).
     pub(crate) fn stage_fill(&mut self, at: Cycle, b: u64, sub: usize, mem: &mut MemoryContents) {
-        let t = self.telemetry.timer();
-        self.stage_fill_inner(at, b, sub, mem);
-        self.telemetry.record_span("span.fill", t);
-    }
-
-    fn stage_fill_inner(&mut self, at: Cycle, b: u64, sub: usize, mem: &mut MemoryContents) {
         let sb = self.geom.super_of_block(b);
         let off = self.geom.blk_off(b);
         let existing = self
@@ -506,12 +500,6 @@ impl BaryonController {
         victim: StageSlot,
         mem: &mut MemoryContents,
     ) {
-        let t = self.telemetry.timer();
-        self.evict_or_commit_inner(at, victim, mem);
-        self.telemetry.record_span("span.commit", t);
-    }
-
-    fn evict_or_commit_inner(&mut self, at: Cycle, victim: StageSlot, mem: &mut MemoryContents) {
         let entry = self.stage.evict(victim);
         let sb = entry.tag;
         let blocks: Vec<u64> = {
@@ -1090,12 +1078,6 @@ impl BaryonController {
     /// straight into the committed area, re-sorting the block layout on
     /// every insertion.
     pub(crate) fn direct_fill(&mut self, at: Cycle, b: u64, sub: usize, mem: &mut MemoryContents) {
-        let t = self.telemetry.timer();
-        self.direct_fill_inner(at, b, sub, mem);
-        self.telemetry.record_span("span.fill", t);
-    }
-
-    fn direct_fill_inner(&mut self, at: Cycle, b: u64, sub: usize, mem: &mut MemoryContents) {
         let sb = self.geom.super_of_block(b);
         let mut entry = self.remap.entry(b);
         if entry.has_sub(sub) {

@@ -14,17 +14,15 @@ pub mod phase;
 mod serve;
 
 use crate::addr::Geometry;
+use crate::config::BaryonConfig;
 use crate::config::RemapKind;
-use crate::config::{BaryonConfig, HybridMode};
-use crate::ctrl::{Devices, MemoryController, Request, Response, ServeCounter, ServeStats};
+use crate::ctrl::{Devices, ServeCounter};
 use crate::remap::{MultiLevelRemap, RemapStore, RemapStoreImpl, RemapTable};
 use crate::stage::StageArea;
 use baryon_compress::RangeCompressor;
 use baryon_sim::rng::SimRng;
-use baryon_sim::telemetry::Registry;
 use baryon_sim::wire::{Reader, WireError, Writer};
 use baryon_sim::Cycle;
-use baryon_workloads::MemoryContents;
 use phase::PhaseTracker;
 
 /// State of one fast-memory data-area physical block.
@@ -184,9 +182,6 @@ pub struct BaryonController {
     /// Version-keyed cache of compression verdicts (pure memo: never
     /// serialized, cannot change behaviour — see [`memo::CompressMemo`]).
     pub(crate) memo: memo::CompressMemo,
-    /// Unified telemetry: span timings of the access flow (and any future
-    /// controller-local metrics). Spans are off unless enabled.
-    pub(crate) telemetry: Registry,
 }
 
 impl BaryonController {
@@ -279,16 +274,8 @@ impl BaryonController {
             flat_blocks,
             reads_since_scrub: 0,
             memo: memo::CompressMemo::new(),
-            telemetry: Registry::new(),
             cfg,
         }
-    }
-
-    /// Enables wall-clock span recording through the access flow
-    /// (stage probe, remap walk, fill, commit, writeback). Off by
-    /// default so golden runs never observe the host clock.
-    pub fn enable_telemetry_spans(&mut self) {
-        self.telemetry.enable_spans();
     }
 
     /// Enables the Fig 3 / Fig 4 stage-phase instrumentation.
@@ -625,7 +612,6 @@ impl BaryonController {
             w.usize(*f);
         }
         w.u64(self.reads_since_scrub);
-        self.telemetry.save_state(w);
     }
 
     /// Overlays checkpointed state onto this freshly constructed
@@ -729,7 +715,6 @@ impl BaryonController {
         }
         self.free_list = (0..n).map(|_| r.usize()).collect::<Result<_, _>>()?;
         self.reads_since_scrub = r.u64()?;
-        self.telemetry = Registry::load_state(r)?;
         // The memo would stay *correct* across a restore (its keys embed
         // line versions), but a cold start keeps restored runs trivially
         // equivalent to fresh ones.
@@ -738,89 +723,11 @@ impl BaryonController {
     }
 }
 
-impl MemoryController for BaryonController {
-    fn read(&mut self, now: Cycle, req: Request, mem: &mut MemoryContents) -> Response {
-        let t = self.telemetry.timer();
-        let r = self.read_impl(now, req, mem);
-        self.telemetry.record_span("span.read", t);
-        r
-    }
-
-    fn writeback(&mut self, now: Cycle, addr: u64, mem: &mut MemoryContents) -> Cycle {
-        let t = self.telemetry.timer();
-        let done = self.writeback_impl(now, addr, mem);
-        self.telemetry.record_span("span.writeback", t);
-        done
-    }
-
-    fn serve_stats(&self) -> ServeStats {
-        self.serve.finish(&self.devices)
-    }
-
-    fn export(&self, reg: &mut Registry) {
-        let c = &self.counters;
-        reg.set_counter("case1_stage_hits", c.case1_stage_hits);
-        reg.set_counter("case2_commit_hits", c.case2_commit_hits);
-        reg.set_counter("case3_stage_misses", c.case3_stage_misses);
-        reg.set_counter("case4_bypasses", c.case4_bypasses);
-        reg.set_counter("case5_block_misses", c.case5_block_misses);
-        reg.set_counter("zero_serves", c.zero_serves);
-        reg.set_counter("stage_overflows", c.stage_overflows);
-        reg.set_counter("committed_overflows", c.committed_overflows);
-        reg.set_counter("commits", c.commits);
-        reg.set_counter("stage_evictions", c.stage_evictions);
-        reg.set_counter("commit_aborts", c.commit_aborts);
-        reg.set_counter("spread_swaps", c.spread_swaps);
-        reg.set_counter("three_way_swaps", c.three_way_swaps);
-        reg.set_counter("flat_original_hits", c.flat_original_hits);
-        reg.set_counter("displaced_accesses", c.displaced_accesses);
-        reg.set_counter("decompressions", c.decompressions);
-        reg.set_counter("faults_detected", c.faults_detected);
-        reg.set_counter("faults_corrected", c.faults_corrected);
-        reg.set_counter("faults_degraded", c.faults_degraded);
-        reg.set_counter("faults_unrecoverable", c.faults_unrecoverable);
-        reg.set_counter("scrub_passes", c.scrub_passes);
-        reg.set_counter("scrub_repairs", c.scrub_repairs);
-        reg.set_gauge("avg_cf", c.avg_cf());
-        let mut sub = Registry::new();
-        self.stage.stats().export(&mut sub);
-        reg.absorb("stage", &sub);
-        let mut sub = Registry::new();
-        self.remap.export(&mut sub);
-        reg.absorb("remap", &sub);
-        reg.set_gauge("remap.cache_hit_rate", self.remap.cache_hit_rate());
-        self.devices.export(reg);
-        reg.merge(&self.telemetry);
-    }
-
-    fn reset_stats(&mut self) {
-        self.serve.reset();
-        self.counters = BaryonCounters::default();
-        self.devices.reset_stats();
-        self.remap.reset_stats();
-        self.stage.reset_stats();
-        self.telemetry.reset();
-    }
-
-    fn name(&self) -> &str {
-        // The multi-level remap store defines the trimma family
-        // regardless of the hybrid mode it rides on.
-        if matches!(self.cfg.remap, RemapKind::MultiLevel { .. }) {
-            return "trimma";
-        }
-        match (self.cfg.mode, self.cfg.is_fully_associative()) {
-            (HybridMode::Cache, false) => "baryon",
-            (HybridMode::Cache, true) => "baryon-fa-cache",
-            (HybridMode::Flat, _) => "baryon-fa",
-            (HybridMode::Mixed, _) => "baryon-mixed",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctrl::test_contents;
+    use crate::ctrl::{test_contents, MemoryController, Request};
+    use baryon_sim::telemetry::Registry;
     use baryon_workloads::Scale;
 
     fn small_scale() -> Scale {

@@ -1,13 +1,16 @@
-//! The demand access flow (Fig 6): reads and dirty writebacks.
+//! The demand access flow (Fig 6): reads and dirty writebacks, behind the
+//! controller's [`MemoryController`] interface.
 
 use super::phase::AccessKind;
-use super::{BaryonController, PhysState};
-use crate::ctrl::{Request, Response};
+use super::{BaryonController, BaryonCounters, PhysState};
+use crate::config::{HybridMode, RemapKind};
+use crate::ctrl::{MemoryController, Request, Response, ServeStats};
 use crate::metadata::locate_sub_block;
 use crate::metadata::stage_entry::RangeRef;
 use crate::remap::RemapStore;
 use baryon_compress::{Cf, CACHELINE_BYTES};
 use baryon_mem::FaultKind;
+use baryon_sim::telemetry::Registry;
 use baryon_sim::Cycle;
 use baryon_workloads::MemoryContents;
 
@@ -42,13 +45,8 @@ impl FastData {
     }
 }
 
-impl BaryonController {
-    pub(crate) fn read_impl(
-        &mut self,
-        now: Cycle,
-        req: Request,
-        mem: &mut MemoryContents,
-    ) -> Response {
+impl MemoryController for BaryonController {
+    fn read(&mut self, now: Cycle, req: Request, mem: &mut MemoryContents) -> Response {
         let line = req.addr & !(CACHELINE_BYTES as u64 - 1);
         let b = self.geom.block_of(line);
         assert!(
@@ -66,12 +64,8 @@ impl BaryonController {
             let sset = self.stage.set_of(sb);
             self.stage.record_set_access(sset);
 
-            let t = self.telemetry.timer();
-            let probe = self.stage.lookup(sb, off, sub);
-            self.telemetry.record_span("span.stage_probe", t);
-
             // Case 1: block staged, sub-block hit.
-            if let Some((slot, hit)) = probe {
+            if let Some((slot, hit)) = self.stage.lookup(sb, off, sub) {
                 self.counters.case1_stage_hits += 1;
                 self.tracker.classify(b, AccessKind::Hit);
                 self.tracker.on_stage_access(slot, b, now, false);
@@ -121,10 +115,8 @@ impl BaryonController {
         }
 
         // Remap metadata path (stage tag array probed in parallel).
-        let t = self.telemetry.timer();
         let remap_lat = self.remap.lookup(now, sb, &mut self.devices.fast);
         let entry = self.remap.entry(b);
-        self.telemetry.record_span("span.remap_walk", t);
         let meta_lat = meta_lat.max(remap_lat);
 
         if !entry.is_empty() {
@@ -233,12 +225,7 @@ impl BaryonController {
         }
     }
 
-    pub(crate) fn writeback_impl(
-        &mut self,
-        now: Cycle,
-        addr: u64,
-        mem: &mut MemoryContents,
-    ) -> Cycle {
+    fn writeback(&mut self, now: Cycle, addr: u64, mem: &mut MemoryContents) -> Cycle {
         let line = addr & !(CACHELINE_BYTES as u64 - 1);
         let b = self.geom.block_of(line);
         assert!(
@@ -365,8 +352,69 @@ impl BaryonController {
         self.slow_home_write(now, b, sub, line, mem)
     }
 
-    // ---- helpers ---------------------------------------------------------
+    fn serve_stats(&self) -> ServeStats {
+        self.serve.finish(&self.devices)
+    }
 
+    fn export(&self, reg: &mut Registry) {
+        let c = &self.counters;
+        reg.set_counter("case1_stage_hits", c.case1_stage_hits);
+        reg.set_counter("case2_commit_hits", c.case2_commit_hits);
+        reg.set_counter("case3_stage_misses", c.case3_stage_misses);
+        reg.set_counter("case4_bypasses", c.case4_bypasses);
+        reg.set_counter("case5_block_misses", c.case5_block_misses);
+        reg.set_counter("zero_serves", c.zero_serves);
+        reg.set_counter("stage_overflows", c.stage_overflows);
+        reg.set_counter("committed_overflows", c.committed_overflows);
+        reg.set_counter("commits", c.commits);
+        reg.set_counter("stage_evictions", c.stage_evictions);
+        reg.set_counter("commit_aborts", c.commit_aborts);
+        reg.set_counter("spread_swaps", c.spread_swaps);
+        reg.set_counter("three_way_swaps", c.three_way_swaps);
+        reg.set_counter("flat_original_hits", c.flat_original_hits);
+        reg.set_counter("displaced_accesses", c.displaced_accesses);
+        reg.set_counter("decompressions", c.decompressions);
+        reg.set_counter("faults_detected", c.faults_detected);
+        reg.set_counter("faults_corrected", c.faults_corrected);
+        reg.set_counter("faults_degraded", c.faults_degraded);
+        reg.set_counter("faults_unrecoverable", c.faults_unrecoverable);
+        reg.set_counter("scrub_passes", c.scrub_passes);
+        reg.set_counter("scrub_repairs", c.scrub_repairs);
+        reg.set_gauge("avg_cf", c.avg_cf());
+        let mut sub = Registry::new();
+        self.stage.stats().export(&mut sub);
+        reg.absorb("stage", &sub);
+        let mut sub = Registry::new();
+        self.remap.export(&mut sub);
+        reg.absorb("remap", &sub);
+        reg.set_gauge("remap.cache_hit_rate", self.remap.cache_hit_rate());
+        self.devices.export(reg);
+    }
+
+    fn reset_stats(&mut self) {
+        self.serve.reset();
+        self.counters = BaryonCounters::default();
+        self.devices.reset_stats();
+        self.remap.reset_stats();
+        self.stage.reset_stats();
+    }
+
+    fn name(&self) -> &str {
+        // The multi-level remap store defines the trimma family
+        // regardless of the hybrid mode it rides on.
+        if matches!(self.cfg.remap, RemapKind::MultiLevel { .. }) {
+            return "trimma";
+        }
+        match (self.cfg.mode, self.cfg.is_fully_associative()) {
+            (HybridMode::Cache, false) => "baryon",
+            (HybridMode::Cache, true) => "baryon-fa-cache",
+            (HybridMode::Flat, _) => "baryon-fa",
+            (HybridMode::Mixed, _) => "baryon-mixed",
+        }
+    }
+}
+
+impl BaryonController {
     /// The staged range covering `(off, sub)` at `slot` (data or zero).
     fn staged_range_of(
         &self,

@@ -184,10 +184,6 @@ pub struct SystemConfig {
     /// (write bandwidth back-pressure). Without a bound, pure-store
     /// workloads would never feel the memory system at all.
     pub store_buffer: usize,
-    /// Enables wall-clock span telemetry (access-flow and phase timings).
-    /// Off by default: disabled runs never read the host clock, so golden
-    /// results stay bit-identical.
-    pub telemetry: bool,
 }
 
 impl SystemConfig {
@@ -217,7 +213,6 @@ impl SystemConfig {
             warmup_insts: 30_000,
             mlp: 1,
             store_buffer: 32,
-            telemetry: false,
         }
     }
 
@@ -320,9 +315,6 @@ pub struct System {
     read_latency: baryon_sim::histogram::Histogram,
     /// In-progress incremental run, if any.
     cursor: Option<RunCursor>,
-    /// System-level spans (warm-up / measure phases); live only when
-    /// `SystemConfig::telemetry` is set.
-    telemetry: Registry,
 }
 
 impl std::fmt::Debug for System {
@@ -342,17 +334,9 @@ impl System {
         let gens = (0..cores)
             .map(|c| workload.spawn_core(c, cores, seed))
             .collect();
-        let mut controller = cfg.build_controller();
-        let mut telemetry = Registry::new();
-        if cfg.telemetry {
-            telemetry.enable_spans();
-            if let Some(b) = controller.as_baryon_mut() {
-                b.enable_telemetry_spans();
-            }
-        }
         System {
             hierarchy: Hierarchy::new(cfg.hierarchy),
-            controller,
+            controller: cfg.build_controller(),
             contents: workload.contents(seed),
             gens,
             core_time: vec![0; cores],
@@ -362,7 +346,6 @@ impl System {
             llc_misses: 0,
             read_latency: baryon_sim::histogram::Histogram::new(),
             cursor: None,
-            telemetry,
             workload_name: workload.name.to_owned(),
             cfg,
         }
@@ -436,10 +419,7 @@ impl System {
             match phase {
                 PHASE_WARMUP => {
                     let targets = self.cursor.as_ref().expect("cursor").targets.clone();
-                    // Phase spans are coarse events: always sample.
-                    let t = self.telemetry.phase_timer();
                     let (done, ops) = self.run_phase_chunk(&targets, &mut budget);
-                    self.telemetry.record_span("sim.span.warmup", t);
                     self.cursor.as_mut().expect("cursor").ops += ops;
                     if !done {
                         return false;
@@ -457,9 +437,7 @@ impl System {
                 }
                 PHASE_MEASURE => {
                     let targets = self.cursor.as_ref().expect("cursor").targets.clone();
-                    let t = self.telemetry.phase_timer();
                     let (done, ops) = self.run_phase_chunk(&targets, &mut budget);
-                    self.telemetry.record_span("sim.span.measure", t);
                     let cur = self.cursor.as_mut().expect("cursor");
                     cur.ops += ops;
                     if !done {
@@ -548,7 +526,6 @@ impl System {
         reg.set_counter("sim.instructions", instructions);
         reg.set_counter("sim.llc_misses", self.llc_misses);
         reg.observe_histogram("sim.read_latency", &self.read_latency);
-        reg.merge(&self.telemetry);
         RunResult {
             controller: self.controller.name().to_owned(),
             workload: self.workload_name.clone(),
@@ -675,7 +652,7 @@ impl System {
 
     /// Serializes the complete mutable system state — run cursor, cache
     /// hierarchy, controller, memory contents, trace-generator RNGs,
-    /// per-core timing, and telemetry — for crash-consistent
+    /// per-core timing, and run statistics — for crash-consistent
     /// checkpointing. Configuration is not serialized: the restorer
     /// rebuilds an identical [`System`] via [`System::new`] first.
     pub fn save_state(&self, w: &mut Writer) {
@@ -713,7 +690,6 @@ impl System {
         save_queues(w, &self.wb_queue);
         w.u64(self.llc_misses);
         self.read_latency.save_state(w);
-        self.telemetry.save_state(w);
     }
 
     /// Overlays checkpointed state onto this freshly constructed system.
@@ -771,7 +747,6 @@ impl System {
         self.wb_queue = load_queues(r, cores)?;
         self.llc_misses = r.u64()?;
         self.read_latency = baryon_sim::histogram::Histogram::load_state(r)?;
-        self.telemetry = Registry::load_state(r)?;
         Ok(())
     }
 }

@@ -194,3 +194,34 @@ fn trimma_scrub_finds_consistent_metadata_after_churn() {
         "multi-level metadata must stay self-consistent under churn"
     );
 }
+
+/// Counter-window identity over a whole run: with no warm-up, the leaf
+/// lifecycle counters cover the same window as the `live_leaves` state
+/// gauge, so allocations minus frees is exactly the live leaf count on
+/// every registry workload. (With a warm-up the counters restart at the
+/// measure boundary while the gauge does not, and the identity is not
+/// expected to hold.)
+#[test]
+fn trimma_leaf_counters_account_for_every_live_leaf() {
+    use baryon_core::system::{ControllerKind, System, SystemConfig};
+
+    let scale = Scale { divisor: 1024 };
+    let mut allocated_somewhere = false;
+    for workload in baryon_workloads::registry(scale) {
+        let kind = ControllerKind::Baryon(BaryonConfig::default_trimma(scale));
+        let mut cfg = SystemConfig::with_controller(scale, kind);
+        cfg.warmup_insts = 0;
+        let r = System::new(cfg, &workload, 42).run(20_000);
+        let allocated = r.counter("ctrl.remap.leaves_allocated");
+        let freed = r.counter("ctrl.remap.leaves_freed");
+        let live = r.telemetry.gauge("ctrl.remap.live_leaves");
+        assert_eq!(
+            (allocated - freed) as f64,
+            live,
+            "{}: {allocated} allocated - {freed} freed != {live} live",
+            workload.name
+        );
+        allocated_somewhere |= allocated > 0;
+    }
+    assert!(allocated_somewhere, "no workload allocated a leaf");
+}

@@ -52,7 +52,6 @@ fn gate_spec() -> RunSpec {
         scale: 1024,
         seed: 7,
         mlp: 1,
-        telemetry: false,
     }
 }
 

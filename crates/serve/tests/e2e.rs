@@ -57,7 +57,6 @@ fn served_result_is_byte_identical_to_direct_run() {
         scale: 1024,
         seed: 7,
         mlp: 1,
-        telemetry: false,
     };
     let direct = spec.execute().expect("spec runs").to_json().render();
     assert_eq!(

@@ -39,7 +39,6 @@ fn quick_spec() -> RunSpec {
         scale: 2048,
         seed: 5,
         mlp: 1,
-        telemetry: false,
     }
 }
 
@@ -91,7 +90,8 @@ fn unstarted_and_interrupted_jobs_recover() {
 
     // Fake the crashed incarnation's journal: job 1 was accepted and
     // never started; job 2 was mid-run with a checkpoint on disk; job 3
-    // settled under a spec that still renders `threads`.
+    // settled under a spec that still renders the retired `threads` and
+    // `telemetry` fields.
     {
         let mut system = spec.build_system().expect("system");
         system.begin(spec.insts);
@@ -112,7 +112,7 @@ fn unstarted_and_interrupted_jobs_recover() {
             JournalEvent::Start { id: 2 },
             JournalEvent::Submit {
                 id: 3,
-                spec_json: r#"{"workload":"ycsb-a","controller":"simple","insts":3000,"warmup":500,"scale":2048,"seed":5,"mlp":1,"telemetry":false,"threads":8}"#.to_owned(),
+                spec_json: r#"{"workload":"ycsb-a","controller":"simple","insts":3000,"warmup":500,"scale":2048,"seed":5,"mlp":1,"telemetry":true,"threads":8}"#.to_owned(),
             },
             JournalEvent::Start { id: 3 },
             JournalEvent::Finish {

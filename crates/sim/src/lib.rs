@@ -11,7 +11,7 @@
 //!   code (checkpoints, journals) routes through,
 //! * a Zipfian sampler used by the YCSB-style workloads ([`zipf::Zipfian`]),
 //! * the unified telemetry registry ([`telemetry::Registry`]) every
-//!   component publishes counters, gauges and span timings into,
+//!   component publishes counters, gauges and histogram summaries into,
 //! * summary helpers (geometric mean, percentiles) in [`summary`].
 //!
 //! # Examples

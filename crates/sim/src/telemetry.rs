@@ -10,33 +10,7 @@
 //!   (`"ctrl.fast.read_bytes"`),
 //! * **gauges** — point-in-time `f64` readings (`"ctrl.avg_cf"`),
 //! * **summaries** — log2-bucketed [`Histogram`]s of sample distributions
-//!   (`"sim.read_latency"`, span timings).
-//!
-//! # Spans
-//!
-//! Scoped spans measure wall-clock time through the hot paths (stage probe →
-//! remap walk → fill/commit). They are **disabled by default** and become
-//! no-ops that never read the clock, so telemetry-off runs are bit-identical
-//! to a build without any instrumentation. When enabled, spans are
-//! **sampled 1-in-[`SPAN_SAMPLE_PERIOD`]** (the first call always samples):
-//! per-access paths run in a few hundred nanoseconds, so timing every call
-//! would cost more than the work being measured. A span summary's `count`
-//! is therefore the number of *samples*, while its mean and percentiles
-//! remain representative of the full population.
-//!
-//! ```
-//! use baryon_sim::telemetry::Registry;
-//!
-//! let mut reg = Registry::new();
-//! let t = reg.timer();                 // spans disabled: no clock read
-//! reg.record_span("ctrl.span.fill", t);
-//! assert!(reg.is_empty());
-//!
-//! reg.enable_spans();
-//! let t = reg.timer();
-//! reg.record_span("ctrl.span.fill", t);
-//! assert_eq!(reg.summary("ctrl.span.fill").unwrap().count(), 1);
-//! ```
+//!   (`"sim.read_latency"`).
 //!
 //! # Reading the registry
 //!
@@ -47,16 +21,8 @@
 use crate::histogram::Histogram;
 use crate::json::Json;
 use crate::wire::{Reader, WireError, Writer};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Instant;
-
-/// Span sampling period: with spans enabled, one in this many
-/// [`Registry::timer`] calls reads the clock and records a sample (the
-/// first call always does). Sampling keeps the telemetry-on overhead on
-/// per-access paths within the ~5% profiling budget.
-pub const SPAN_SAMPLE_PERIOD: u64 = 64;
 
 /// A frozen reading of one metric, produced by [`Registry::snapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -124,22 +90,6 @@ fn num_u64(j: &Json) -> Option<u64> {
     }
 }
 
-/// A started (or suppressed) span measurement, returned by
-/// [`Registry::timer`] and consumed by [`Registry::record_span`].
-///
-/// Holding the clock reading in a token instead of an RAII guard keeps the
-/// registry borrowable while the timed work runs.
-#[derive(Debug)]
-#[must_use = "pass the timer back to Registry::record_span"]
-pub struct SpanTimer(Option<Instant>);
-
-impl SpanTimer {
-    /// A timer that records nothing, for paths without a registry at hand.
-    pub fn disabled() -> Self {
-        SpanTimer(None)
-    }
-}
-
 /// The unified metric registry: ordered maps of counters, gauges and
 /// histogram summaries under dotted `component.metric` names.
 ///
@@ -157,38 +107,15 @@ impl SpanTimer {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    spans_enabled: bool,
-    /// Monotone tick deciding which [`Registry::timer`] calls sample; a
-    /// `Cell` so `timer(&self)` stays a shared borrow while the timed
-    /// work holds `&mut` elsewhere.
-    span_tick: Cell<u64>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     summaries: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
-    /// Creates an empty registry with spans disabled.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty registry with spans already enabled.
-    pub fn with_spans() -> Self {
-        let mut r = Self::new();
-        r.enable_spans();
-        r
-    }
-
-    /// Turns on wall-clock span recording. Off by default so golden runs
-    /// never observe the host clock.
-    pub fn enable_spans(&mut self) {
-        self.spans_enabled = true;
-    }
-
-    /// Whether span timers are live.
-    pub fn spans_enabled(&self) -> bool {
-        self.spans_enabled
     }
 
     /// Adds `delta` to the counter `name`, creating it at zero if absent.
@@ -255,35 +182,6 @@ impl Registry {
         self.summaries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Starts a span measurement. With spans disabled this never reads
-    /// the clock (disabled runs stay bit-identical); with spans enabled,
-    /// one in [`SPAN_SAMPLE_PERIOD`] calls samples, starting with the
-    /// first.
-    pub fn timer(&self) -> SpanTimer {
-        if !self.spans_enabled {
-            return SpanTimer(None);
-        }
-        let tick = self.span_tick.get();
-        self.span_tick.set(tick.wrapping_add(1));
-        SpanTimer(tick.is_multiple_of(SPAN_SAMPLE_PERIOD).then(Instant::now))
-    }
-
-    /// Starts an *unsampled* span measurement for coarse, rare events
-    /// (run phases, whole jobs): every call samples when spans are
-    /// enabled. Per-access paths should use [`Registry::timer`], which
-    /// samples 1-in-[`SPAN_SAMPLE_PERIOD`] to bound overhead.
-    pub fn phase_timer(&self) -> SpanTimer {
-        SpanTimer(self.spans_enabled.then(Instant::now))
-    }
-
-    /// Finishes a span, recording its elapsed nanoseconds into the summary
-    /// `name`. A timer from a spans-disabled registry records nothing.
-    pub fn record_span(&mut self, name: &str, timer: SpanTimer) {
-        if let Some(start) = timer.0 {
-            self.observe(name, start.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// Merges another registry into this one under a dotted prefix:
     /// counters sum, gauges overwrite, summaries merge.
     ///
@@ -331,10 +229,8 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.summaries.is_empty()
     }
 
-    /// Clears every metric and rewinds the span sampling tick; the spans
-    /// flag is preserved.
+    /// Clears every metric.
     pub fn reset(&mut self) {
-        self.span_tick.set(0);
         self.counters.clear();
         self.gauges.clear();
         self.summaries.clear();
@@ -447,12 +343,8 @@ impl Registry {
         Some(out)
     }
 
-    /// Serializes the complete registry state — including the spans flag
-    /// and the span sampling tick, so a restored run samples the same
-    /// timer calls the uninterrupted run would have.
+    /// Serializes the complete registry state.
     pub fn save_state(&self, w: &mut Writer) {
-        w.bool(self.spans_enabled);
-        w.u64(self.span_tick.get());
         w.seq(self.counters.len());
         for (k, v) in &self.counters {
             w.str(k);
@@ -476,8 +368,6 @@ impl Registry {
     ///
     /// Returns [`WireError`] on a truncated or malformed payload.
     pub fn load_state(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let spans_enabled = r.bool()?;
-        let span_tick = Cell::new(r.u64()?);
         let mut counters = BTreeMap::new();
         for _ in 0..r.seq()? {
             let k = r.str()?;
@@ -494,8 +384,6 @@ impl Registry {
             summaries.insert(k, Histogram::load_state(r)?);
         }
         Ok(Registry {
-            spans_enabled,
-            span_tick,
             counters,
             gauges,
             summaries,
@@ -591,40 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_record_nothing_and_never_read_the_clock() {
-        let mut r = Registry::new();
-        let t = r.timer();
-        r.record_span("span.x", t);
-        assert!(r.is_empty());
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn enabled_spans_record_elapsed_ns() {
-        let mut r = Registry::with_spans();
-        let t = r.timer();
-        std::hint::black_box(0u64);
-        r.record_span("span.x", t);
-        let h = r.summary("span.x").unwrap();
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn spans_sample_one_in_period() {
-        let mut r = Registry::with_spans();
-        for _ in 0..(2 * SPAN_SAMPLE_PERIOD) {
-            let t = r.timer();
-            r.record_span("span.x", t);
-        }
-        assert_eq!(r.summary("span.x").unwrap().count(), 2);
-        // Reset rewinds the tick, so the next timer samples again.
-        r.reset();
-        let t = r.timer();
-        r.record_span("span.x", t);
-        assert_eq!(r.summary("span.x").unwrap().count(), 1);
-    }
-
-    #[test]
     fn snapshot_orders_and_types_metrics() {
         let mut r = Registry::new();
         r.add("b.count", 2);
@@ -655,33 +509,20 @@ mod tests {
 
     #[test]
     fn wire_state_round_trip_is_exact() {
-        let mut r = Registry::with_spans();
+        let mut r = Registry::new();
         r.add("ctrl.reads", 41);
         r.set_gauge("ctrl.cf", 2.5);
         r.observe("sim.lat", 12);
         r.observe("sim.lat", 900);
-        let t = r.timer();
-        r.record_span("span.x", t);
         let mut w = crate::wire::Writer::new();
         r.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut rd = crate::wire::Reader::new(&bytes);
         let back = Registry::load_state(&mut rd).expect("round trip");
         rd.finish().expect("no trailing bytes");
-        assert_eq!(back.spans_enabled(), r.spans_enabled());
-        assert_eq!(back.span_tick.get(), r.span_tick.get());
         assert_eq!(back.counters, r.counters);
         assert_eq!(back.summaries, r.summaries);
         assert_eq!(back.gauges.len(), r.gauges.len());
-    }
-
-    #[test]
-    fn reset_clears_but_keeps_span_flag() {
-        let mut r = Registry::with_spans();
-        r.add("x", 1);
-        r.reset();
-        assert!(r.is_empty());
-        assert!(r.spans_enabled());
     }
 
     #[test]

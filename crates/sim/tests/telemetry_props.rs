@@ -11,7 +11,7 @@ use baryon_sim::telemetry::Registry;
 /// (as in the real workspace, where the kind is part of the convention).
 fn name(g: &mut check::Gen, kind: &str) -> String {
     let comp = ["ctrl", "cache.l2", "sim", "serve", "mem"][g.choice(5)];
-    let field = ["reads", "hits", "bytes", "lat", "span.fill"][g.choice(5)];
+    let field = ["reads", "hits", "bytes", "lat", "stage.fill"][g.choice(5)];
     format!("{comp}.{field}.{kind}")
 }
 

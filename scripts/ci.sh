@@ -94,24 +94,24 @@ cargo test -q -p baryon-bench --release --offline --test differential_golden
 echo "==> fleet gate: kill-mid-sweep, config-rollout, chaos-ladder (3 shards each)"
 cargo run --release -p baryon-fleet --bin fleet_gate --offline
 
-# Throughput + telemetry overhead gate: the sim-throughput harness runs
-# a small workload matrix twice (spans off / spans on) and fails when
-# enabling telemetry costs more than 5% aggregate wall-clock (override
-# with BARYON_BENCH_MAX_OVERHEAD_PCT) or when any workload drops below
-# its per-workload ops/sec regression floor (scale the floors with
-# BARYON_BENCH_FLOOR_SCALE on slow hosts). It also refreshes the
-# profiling document BENCH_sim_throughput.json at the repository root,
-# including the fleet_submit control-plane figure (jobs/sec for trivial
-# specs through a live 2-shard coordinator) and its latency gate: the
-# fleet's single-job p50 must stay within 2x that of one baryon-serve
-# process, measured interleaved in the same run.
-echo "==> bench: sim-throughput (regression floors + telemetry overhead + fleet latency gates)"
+# Throughput gate: the sim-throughput harness runs a small workload
+# matrix through the baryon and simple controllers, interleaved pass for
+# pass and timed on the thread CPU clock, and fails when any workload's
+# baryon/simple ops/sec ratio drops below its per-workload floor, or when
+# a checkpointed run's result differs from the plain run's. Both sides of
+# every ratio run in the same pass, so host load moves them alike. It
+# also refreshes the profiling document BENCH_sim_throughput.json at the
+# repository root, including the fleet_submit control-plane figure
+# (jobs/sec for trivial specs through a live 2-shard coordinator) and its
+# latency gate: the fleet's single-job p50 must stay within 2x that of
+# one baryon-serve process, measured interleaved in the same run.
+echo "==> bench: sim-throughput (baryon/simple ratio floors + checkpoint identity + fleet latency gates)"
 cargo run --release -p baryon-fleet --bin sim_throughput --offline
 
 # Metadata footprint gate: runs the registry through baryon (flat remap
-# table), hybrid2, and trimma (multi-level remap) with telemetry on,
-# refreshes BENCH_metadata.json at the repository root (footprint bytes,
-# remap-walk span time, hot-level hit latency/rate per workload), and
+# table), hybrid2, and trimma (multi-level remap), refreshes
+# BENCH_metadata.json at the repository root (footprint bytes, hot-level
+# hit latency/rate and leaf lifecycle per workload), and
 # fails when trimma's live footprint stops undercutting the flat table
 # on a majority of workloads (override with BARYON_METADATA_MIN_WINS).
 echo "==> bench: metadata footprint (trimma vs flat regression gate)"
